@@ -1,8 +1,8 @@
 // Ablation: visible vs invisible reads (DSTM2's two read modes — the paper
 // ran with visible reads). Visible readers pay a bitmap CAS per object and
-// get aborted eagerly by writers; invisible readers pay O(read set) of
-// validation per open. Expect invisible to lose ground as read sets grow
-// (List traversals) and to be competitive on point reads (hashtable).
+// get aborted eagerly by writers; invisible readers pay read-set
+// validation, amortized O(1) per open by the deferred commit clock
+// (DESIGN.md §11) but a full pass whenever a fresh commit stamp trips it.
 #include <iostream>
 
 #include "harness/runner.hpp"
@@ -40,9 +40,9 @@ int main(int argc, char** argv) {
       harness::RepeatedResult results[2];
       for (int mode = 0; mode < 2; ++mode) {
         harness::RunConfig cfg = base;
-        cfg.visible_reads = mode == 0;
+        cfg.runtime.visible_reads = mode == 0;
         std::fprintf(stderr, "[%s] %s %s ...\n", benchmark.c_str(), cm_name.c_str(),
-                     cfg.visible_reads ? "visible" : "invisible");
+                     cfg.runtime.visible_reads ? "visible" : "invisible");
         results[mode] = harness::run_repeated(
             cm_name, cm::Params{},
             [&] { return harness::make_workload(benchmark, 100, key_range); }, cfg, runs);

@@ -145,7 +145,7 @@ int main(int argc, char** argv) {
     run.threads = static_cast<std::uint32_t>(m);
     run.duration_ms = ms;
     run.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-    run.arbitration = mode;
+    run.runtime.arbitration = stm::parse_arbitration(mode);
 
     rusage before{};
     getrusage(RUSAGE_SELF, &before);

@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
     run.threads = static_cast<std::uint32_t>(m);
     run.duration_ms = ms;
     run.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-    run.backend = backend;
+    run.runtime.backend = stm::parse_backend(backend);
     const harness::RunResult r = harness::run_workload(cm_name, cm::Params{}, *workload, run);
 
     Row row;

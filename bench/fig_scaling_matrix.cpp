@@ -1,16 +1,14 @@
 // Scaling matrix for the process-wide hot-spot work (DESIGN.md §11): one
-// closed-loop write-heavy run per M ∈ {2,4,8,16,32,64} under the deferred
-// commit clock, plus eager-clock A/B rows at the low thread counts, all on
-// invisible reads + snapshot extension so the clock protocol is actually
-// exercised. Each row reports throughput and the shared-line contention
-// counters (clock_bumps, deferred_stamps, snapshot_interference,
-// reader_stripe_retries, ebr_shard_syncs).
+// closed-loop write-heavy run per M ∈ {2,4,8,16,32,64} on invisible reads,
+// so the deferred commit clock is actually exercised. Each row reports
+// throughput and the shared-line contention counters (clock_bumps,
+// deferred_stamps, snapshot_interference, reader_stripe_retries,
+// ebr_shard_syncs).
 //
 // --json=BENCH_scaling.json writes a machine-readable report gated in CI by
 // tools/check_bench.py --mode scaling: per-row validation + attempt
-// conservation always; the deferred-vs-eager ratio clauses (bumps ≤
-// stamps/5 at M=8, deferred throughput ≥ 0.9× eager at M ∈ {2,4}) only on
-// hosts with enough CPUs to make the contention real.
+// conservation always; the shared-line clause (bumps ≤ stamps/5 at M=8)
+// only on hosts with enough CPUs to make the contention real.
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -28,7 +26,6 @@ namespace {
 struct Row {
   long threads = 0;
   std::string cm;
-  std::string clock;  // "deferred" | "eager"
   double throughput_per_s = 0.0;
   std::uint64_t attempts = 0;
   std::uint64_t commits = 0;
@@ -59,8 +56,8 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
       << "  \"scaling\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
-    out << "    {\"threads\": " << r.threads << ", \"cm\": \"" << r.cm << "\", \"clock\": \""
-        << r.clock << "\", \"throughput_per_s\": " << r.throughput_per_s
+    out << "    {\"threads\": " << r.threads << ", \"cm\": \"" << r.cm
+        << "\", \"throughput_per_s\": " << r.throughput_per_s
         << ", \"attempts\": " << r.attempts << ", \"commits\": " << r.commits
         << ", \"aborts\": " << r.aborts << ", \"clock_bumps\": " << r.clock_bumps
         << ", \"deferred_stamps\": " << r.deferred_stamps
@@ -79,10 +76,7 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
 int main(int argc, char** argv) {
   using namespace wstm;
   Cli cli;
-  cli.add_flag("threads", "M values for the deferred-clock sweep (comma list)",
-               std::string("2,4,8,16,32,64"));
-  cli.add_flag("ab-threads", "M values that additionally run the eager-clock A/B",
-               std::string("2,4,8"));
+  cli.add_flag("threads", "M values for the sweep (comma list)", std::string("2,4,8,16,32,64"));
   cli.add_flag("cm", "contention manager", std::string("Polka"));
   cli.add_flag("benchmark", "workload (BM_IntsetWriteHeavy-class: write-heavy intset)",
                std::string("hashtable"));
@@ -101,35 +95,29 @@ int main(int argc, char** argv) {
   const long update_percent = cli.get_int("update-percent");
   const long ms = cli.get_int("ms");
   const std::vector<std::int64_t> sweep = cli.get_int_list("threads");
-  const std::vector<std::int64_t> ab = cli.get_int_list("ab-threads");
 
   std::cout << "== Scaling matrix: " << benchmark << " range " << key_range << ", "
-            << update_percent << "% updates, " << cm_name
-            << ", invisible reads + snapshot extension ==\n\n";
+            << update_percent << "% updates, " << cm_name << ", invisible reads ==\n\n";
 
-  Table table({"M", "clock", "commits/s", "aborts/commit", "clock_bumps", "deferred_stamps",
+  Table table({"M", "commits/s", "aborts/commit", "clock_bumps", "deferred_stamps",
                "stripe_retries", "ebr_syncs"});
   std::vector<Row> rows;
   bool all_valid = true;
 
-  auto run_cell = [&](std::int64_t m, bool deferred) {
-    std::fprintf(stderr, "[M=%lld] %s clock ...\n", static_cast<long long>(m),
-                 deferred ? "deferred" : "eager");
+  for (const std::int64_t m : sweep) {
+    std::fprintf(stderr, "[M=%lld] ...\n", static_cast<long long>(m));
     auto workload = harness::make_workload(
         benchmark, static_cast<std::uint32_t>(update_percent), key_range, /*zipf_alpha=*/0.0);
     harness::RunConfig run;
     run.threads = static_cast<std::uint32_t>(m);
     run.duration_ms = ms;
     run.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-    run.visible_reads = false;
-    run.snapshot_ext = true;
-    run.deferred_clock = deferred;
+    run.runtime.visible_reads = false;
     const harness::RunResult r = harness::run_workload(cm_name, cm::Params{}, *workload, run);
 
     Row row;
     row.threads = static_cast<long>(m);
     row.cm = cm_name;
-    row.clock = deferred ? "deferred" : "eager";
     row.throughput_per_s = r.summary.throughput_per_s;
     row.commits = r.totals.commits;
     row.aborts = r.totals.aborts;
@@ -142,23 +130,16 @@ int main(int argc, char** argv) {
     row.valid = r.valid;
     if (!r.valid) {
       all_valid = false;
-      std::fprintf(stderr, "VALIDATION FAILED [M=%lld %s]: %s\n", static_cast<long long>(m),
-                   row.clock.c_str(), r.why.c_str());
+      std::fprintf(stderr, "VALIDATION FAILED [M=%lld]: %s\n", static_cast<long long>(m),
+                   r.why.c_str());
     }
     rows.push_back(row);
 
-    table.add_row({std::to_string(m), row.clock, Table::num(row.throughput_per_s, 0),
+    table.add_row({std::to_string(m), Table::num(row.throughput_per_s, 0),
                    Table::num(r.summary.aborts_per_commit, 3), std::to_string(row.clock_bumps),
                    std::to_string(row.deferred_stamps),
                    std::to_string(row.reader_stripe_retries),
                    std::to_string(row.ebr_shard_syncs)});
-  };
-
-  for (const std::int64_t m : sweep) {
-    run_cell(m, /*deferred=*/true);
-    for (const std::int64_t a : ab) {
-      if (a == m) run_cell(m, /*deferred=*/false);
-    }
   }
 
   std::cout << (cli.get_bool("csv") ? table.to_csv() : table.to_text()) << "\n";

@@ -16,7 +16,6 @@
 #include "cm/registry.hpp"
 #include "stm/runtime.hpp"
 #include "structs/intset.hpp"
-#include "util/affinity.hpp"
 #include "util/rng.hpp"
 
 // ------------------------------------------------- allocation interposer --
@@ -214,13 +213,12 @@ void BM_Xoshiro(benchmark::State& state) {
 BENCHMARK(BM_Xoshiro);
 
 // ------------------------------------------------- allocation pressure --
-// Arg(1) = pooled (RuntimeConfig::pooling on), Arg(0) = every TxDesc /
-// Locator / clone through the global allocator. The counter reports
-// global-allocator calls per attempt: pooled steady state must be ~0.
+// The counter reports global-allocator calls per attempt: with every
+// TxDesc / Locator / clone recycled through the thread pools, the steady
+// state must be ~0.
 void BM_AllocPressureWriteTx(benchmark::State& state) {
   stm::RuntimeConfig cfg;
   cfg.seed = g_seed;
-  cfg.pooling = state.range(0) != 0;
   cm::Params params;
   params.threads = 1;
   stm::Runtime rt(cm::make_manager("Polka", params), cfg);
@@ -247,24 +245,21 @@ void BM_AllocPressureWriteTx(benchmark::State& state) {
   state.counters["allocs_per_attempt"] = attempts > 0 ? allocs / attempts : 0.0;
   state.counters["attempts"] =
       benchmark::Counter(attempts, benchmark::Counter::kIsRate);
-  state.SetLabel(cfg.pooling ? "pooled" : "malloc");
 }
-BENCHMARK(BM_AllocPressureWriteTx)->Arg(1)->Arg(0);
+BENCHMARK(BM_AllocPressureWriteTx);
 
 // ------------------------------------------------- read-set scaling -----
 // Invisible-read validation cost as the read-set size R grows. Each
 // iteration is one transaction reading R distinct objects plus one write
-// (the write exercises the commit-clock bump on every commit). Args are
-// (R, snapshot_ext): with the commit-clock fast path on, validation is
-// amortized O(1) per open, so validations_per_read stays ~0 and ns/read is
-// flat in R; with it off every open revalidates the whole set — O(R²) per
-// transaction, validations_per_read ~1 and ns/read growing linearly in R.
+// (the write stamps a commit every iteration). Validation is amortized
+// O(1) per open, so validations_per_read stays ~0 and ns/read is flat in R;
+// anything near 1 means opens regressed toward revalidating the whole set
+// (O(R²) per transaction).
 void BM_ReadSetScaling(benchmark::State& state) {
   const auto reads = static_cast<std::size_t>(state.range(0));
   stm::RuntimeConfig cfg;
   cfg.seed = g_seed;
   cfg.visible_reads = false;
-  cfg.snapshot_ext = state.range(1) != 0;
   cm::Params params;
   params.threads = 1;
   stm::Runtime rt(cm::make_manager("Polka", params), cfg);
@@ -299,18 +294,11 @@ void BM_ReadSetScaling(benchmark::State& state) {
       opens > 0 ? static_cast<double>(totals.validated_reads) / opens : 0.0;
   state.counters["validation_passes"] = static_cast<double>(totals.validations);
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(reads));
-  state.SetLabel(cfg.snapshot_ext ? "ext" : "noext");
 }
-BENCHMARK(BM_ReadSetScaling)
-    ->Args({8, 1})
-    ->Args({64, 1})
-    ->Args({256, 1})
-    ->Args({8, 0})
-    ->Args({64, 0})
-    ->Args({256, 0});
+BENCHMARK(BM_ReadSetScaling)->Arg(8)->Arg(64)->Arg(256);
 
-// Write-heavy int-set contention at 8 threads, pooled vs. malloc'd. All
-// bench threads share one Runtime + list; the fixture is refcounted because
+// Write-heavy int-set contention at 8 threads, per read mode. All bench
+// threads share one Runtime + list; the fixture is refcounted because
 // google-benchmark calls the function once per thread.
 struct SharedStm {
   std::unique_ptr<stm::Runtime> rt;
@@ -321,23 +309,15 @@ std::mutex g_shared_mutex;
 SharedStm* g_shared = nullptr;
 int g_shared_refs = 0;
 
-// clock_mode: 0 = visible reads (the paper's default; clock untouched),
-// 1 = invisible reads + snapshot extension + deferred clock (GV5-style),
-// 2 = invisible reads + snapshot extension + eager clock (one fetch_add
-// per write-commit) — the A/B for the shared-line reduction claim.
-SharedStm& acquire_shared(bool pooling, int clock_mode, std::uint32_t threads) {
+// Visible reads are the paper's default and never touch the commit clock;
+// invisible reads run the deferred clock (GV5-style).
+SharedStm& acquire_shared(bool visible_reads, std::uint32_t threads) {
   std::lock_guard<std::mutex> lock(g_shared_mutex);
   if (g_shared_refs++ == 0) {
     auto* s = new SharedStm;
     stm::RuntimeConfig cfg;
     cfg.seed = g_seed;
-    cfg.pooling = pooling;
-    if (clock_mode != 0) {
-      cfg.visible_reads = false;
-      cfg.snapshot_ext = true;
-      cfg.deferred_clock = clock_mode == 1;
-    }
-    cfg.preempt_yield_permille = hardware_cpus() < threads ? 25 : 0;
+    cfg.visible_reads = visible_reads;
     cm::Params params;
     params.threads = threads;
     s->rt = std::make_unique<stm::Runtime>(cm::make_manager("Polka", params), cfg);
@@ -361,10 +341,9 @@ void release_shared() {
 }
 
 void BM_IntsetWriteHeavy(benchmark::State& state) {
-  const bool pooling = state.range(0) != 0;
-  const int clock_mode = static_cast<int>(state.range(1));
+  const bool visible_reads = state.range(0) != 0;
   SharedStm& shared =
-      acquire_shared(pooling, clock_mode, static_cast<std::uint32_t>(state.threads()));
+      acquire_shared(visible_reads, static_cast<std::uint32_t>(state.threads()));
   stm::ThreadCtx& tc = shared.rt->attach_thread();
   Xoshiro256 rng(0x5eedULL + static_cast<std::uint64_t>(state.thread_index()));
   const std::uint64_t allocs_before = t_alloc_count;
@@ -385,26 +364,19 @@ void BM_IntsetWriteHeavy(benchmark::State& state) {
       benchmark::Counter(attempts > 0 ? allocs / attempts : 0.0,
                          benchmark::Counter::kAvgThreads);
   state.counters["attempts"] = benchmark::Counter(attempts, benchmark::Counter::kIsRate);
-  // Shared commit-clock line traffic (summed across bench threads): in
-  // deferred mode clock_bumps must sit far below deferred_stamps (the
-  // write-commit count); in eager mode clock_bumps IS the commit count.
+  // Shared commit-clock line traffic (summed across bench threads): with
+  // invisible reads clock_bumps must sit far below deferred_stamps (the
+  // write-commit count); visible reads touch neither.
   state.counters["clock_bumps"] =
       benchmark::Counter(static_cast<double>(after.clock_bumps - before.clock_bumps));
   state.counters["deferred_stamps"] =
       benchmark::Counter(static_cast<double>(after.deferred_stamps - before.deferred_stamps));
-  std::string label = pooling ? "pooled" : "malloc";
-  if (clock_mode != 0) label += clock_mode == 1 ? "+deferred" : "+eager";
-  state.SetLabel(label);
+  state.SetLabel(visible_reads ? "visible" : "invisible");
   shared.rt->detach_thread(tc);
   release_shared();
 }
-BENCHMARK(BM_IntsetWriteHeavy)
-    ->Threads(8)
-    ->Args({1, 0})
-    ->Args({0, 0})
-    ->Args({1, 1})
-    ->Args({1, 2})
-    ->UseRealTime();
+// Arg(1) = visible reads, Arg(0) = invisible reads.
+BENCHMARK(BM_IntsetWriteHeavy)->Threads(8)->Arg(1)->Arg(0)->UseRealTime();
 
 }  // namespace
 

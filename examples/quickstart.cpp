@@ -15,7 +15,6 @@
 
 #include "cm/registry.hpp"
 #include "stm/runtime.hpp"
-#include "util/affinity.hpp"
 #include "util/rng.hpp"
 
 int main() {
@@ -30,11 +29,7 @@ int main() {
   // paper's best-performing window-based contention manager.
   cm::Params params;
   params.threads = kThreads;
-  // Emulate multicore interleaving when the host has fewer hardware
-  // threads than workers (see stm::RuntimeConfig).
-  stm::RuntimeConfig rt_config;
-  if (hardware_cpus() < kThreads) rt_config.preempt_yield_permille = 25;
-  stm::Runtime rt(cm::make_manager("Online-Dynamic", params), rt_config);
+  stm::Runtime rt(cm::make_manager("Online-Dynamic", params));
 
   std::vector<std::unique_ptr<stm::TObject<long>>> accounts;
   for (int i = 0; i < kAccounts; ++i) {

@@ -53,7 +53,6 @@ int main(int argc, char** argv) {
   params.window_n = 16;
   stm::RuntimeConfig rt_config;
   rt_config.recorder = &recorder;
-  if (hardware_cpus() < threads) rt_config.preempt_yield_permille = 60;
   stm::Runtime rt(cm::make_manager(cm_name, params), rt_config);
 
   // A tiny pool of hot accounts: every transaction opens two of them for

@@ -12,7 +12,6 @@
 #include "cm/registry.hpp"
 #include "stm/runtime.hpp"
 #include "util/cli.hpp"
-#include "util/affinity.hpp"
 #include "util/rng.hpp"
 #include "vacation/client.hpp"
 
@@ -31,11 +30,7 @@ int main(int argc, char** argv) {
 
   cm::Params params;
   params.threads = threads;
-  // Emulate multicore interleaving when the host has fewer hardware
-  // threads than workers (see stm::RuntimeConfig).
-  stm::RuntimeConfig rt_config;
-  if (hardware_cpus() < threads) rt_config.preempt_yield_permille = 25;
-  stm::Runtime rt(cm::make_manager(cli.get_string("cm"), params), rt_config);
+  stm::Runtime rt(cm::make_manager(cli.get_string("cm"), params));
 
   vacation::Manager manager;
   vacation::ClientConfig config = vacation::high_contention_config();

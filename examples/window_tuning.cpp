@@ -14,7 +14,6 @@
 #include "stm/runtime.hpp"
 #include "structs/intset.hpp"
 #include "util/cli.hpp"
-#include "util/affinity.hpp"
 #include "util/rng.hpp"
 #include "window/window_cm.hpp"
 
@@ -42,11 +41,7 @@ int main(int argc, char** argv) {
   params.threads = threads;
   params.window_n = static_cast<std::uint32_t>(cli.get_int("window-n"));
 
-  // Emulate multicore interleaving when the host has fewer hardware
-  // threads than workers (see stm::RuntimeConfig).
-  stm::RuntimeConfig rt_config;
-  if (hardware_cpus() < threads) rt_config.preempt_yield_permille = 25;
-  stm::Runtime rt(cm::make_manager(cm_name, params), rt_config);
+  stm::Runtime rt(cm::make_manager(cm_name, params));
   auto* wcm = dynamic_cast<window::WindowCM*>(&rt.manager());
 
   auto set = structs::make_intset("list");

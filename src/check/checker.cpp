@@ -123,8 +123,6 @@ RunResult Checker::run_with_policy(Policy& policy, const CheckConfig& cfg) {
   rtc.backend = stm::parse_backend(cfg.backend);
   rtc.arbitration = stm::parse_arbitration(cfg.arbitration);
   rtc.visible_reads = cfg.visible_reads;
-  rtc.snapshot_ext = cfg.snapshot_ext;
-  rtc.deferred_clock = cfg.deferred_clock;
   rtc.bugs = parse_bug(cfg.bug);
   if (cfg.liveness) {
     // Checker-friendly liveness: tight thresholds so short runs reach the

@@ -92,8 +92,6 @@ std::string to_text(const Schedule& schedule) {
   out << "ops_per_thread " << c.ops_per_thread << '\n';
   out << "key_range " << c.key_range << '\n';
   out << "visible_reads " << (c.visible_reads ? 1 : 0) << '\n';
-  out << "snapshot_ext " << (c.snapshot_ext ? 1 : 0) << '\n';
-  out << "deferred_clock " << (c.deferred_clock ? 1 : 0) << '\n';
   out << "prefill " << (c.prefill ? 1 : 0) << '\n';
   out << "op_mix " << c.op_mix << '\n';
   out << "update_percent " << c.update_percent << '\n';
@@ -127,11 +125,6 @@ Schedule schedule_from_text(const std::string& text) {
   }
   Schedule s;
   CheckConfig& c = s.config;
-  // Files predating the deferred clock were recorded against the eager
-  // clock, whose commit path has one fewer schedule point — replaying them
-  // under the new default (on) would diverge decision-for-decision. Absent
-  // key ⇒ the behavior those runs actually had; new files always carry it.
-  c.deferred_clock = false;
   std::size_t lineno = 1;
   while (std::getline(in, line)) {
     ++lineno;
@@ -159,10 +152,10 @@ Schedule schedule_from_text(const std::string& text) {
       else if (key == "ops_per_thread") c.ops_per_thread = as_u32();
       else if (key == "key_range") c.key_range = std::stol(sval);
       else if (key == "visible_reads") c.visible_reads = sval != "0";
-      // Absent in pre-fast-path files: they default to 1, matching the
-      // runtime default those runs implicitly had once the flag exists.
-      else if (key == "snapshot_ext") c.snapshot_ext = sval != "0";
-      else if (key == "deferred_clock") c.deferred_clock = sval != "0";
+      // Keys of the removed validation modes, still written by older files.
+      // The runtime now always runs snapshot extension under the deferred
+      // clock; a file recorded under another mode replays with divergences.
+      else if (key == "snapshot_ext" || key == "deferred_clock") continue;
       else if (key == "prefill") c.prefill = sval != "0";
       else if (key == "op_mix") c.op_mix = sval;
       else if (key == "update_percent") c.update_percent = as_u32();

@@ -68,16 +68,6 @@ struct CheckConfig {
   /// memoize set states as one 64-bit mask.
   long key_range = 16;
   bool visible_reads = true;
-  /// Invisible-read snapshot-extension fast path (see
-  /// stm::RuntimeConfig::snapshot_ext). On by default to match the runtime;
-  /// serialized so a repro replays with the exact validation behavior, and
-  /// togglable so explore can prove ext-on/ext-off histories coincide.
-  bool snapshot_ext = true;
-  /// Deferred commit clock (see stm::RuntimeConfig::deferred_clock). On by
-  /// default to match the runtime; only effective with snapshot_ext and
-  /// invisible reads. Serialized because deferred mode has an extra commit
-  /// schedule point — a repro must replay with the same point stream.
-  bool deferred_clock = true;
   bool prefill = true;
   /// Op mix: "default" = insert/remove/contains/move/pair-read,
   /// "insert-heavy" = insert/contains/pair-read only (no node retirement —

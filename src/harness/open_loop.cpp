@@ -10,7 +10,6 @@
 
 #include "trace/recorder.hpp"
 #include "trace/sink.hpp"
-#include "util/affinity.hpp"
 #include "util/stats.hpp"
 #include "util/timing.hpp"
 
@@ -46,23 +45,9 @@ OpenLoopResult run_open_loop(const std::string& cm_name, cm::Params cm_params,
   const unsigned producers = serve.producers == 0 ? 1 : serve.producers;
 
   cm_params.threads = run.threads;
-  stm::RuntimeConfig rt_config;
+  cm_params.requester_waits = run.runtime.arbitration == stm::ArbitrationMode::kWait;
+  stm::RuntimeConfig rt_config = run.runtime;
   rt_config.seed = run.seed;
-  rt_config.backend = stm::parse_backend(run.backend);
-  rt_config.arbitration = stm::parse_arbitration(run.arbitration);
-  cm_params.requester_waits = rt_config.arbitration == stm::ArbitrationMode::kWait;
-  rt_config.visible_reads = run.visible_reads;
-  rt_config.pooling = run.pooling;
-  rt_config.snapshot_ext = run.snapshot_ext;
-  rt_config.deferred_clock = run.deferred_clock;
-  // Same auto rule as the closed-loop runner: on a host with fewer CPUs
-  // than workers, emulate preemption so served transactions still overlap.
-  rt_config.preempt_yield_permille =
-      run.preempt_permille < 0
-          ? (hardware_cpus() < run.threads ? 25 : 0)
-          : static_cast<std::uint32_t>(run.preempt_permille);
-  rt_config.liveness = run.liveness;
-  rt_config.chaos = run.chaos;
 
   std::unique_ptr<trace::Recorder> recorder;
   if (!run.trace_path.empty()) {

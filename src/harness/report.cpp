@@ -53,10 +53,6 @@ void register_matrix_flags(Cli& cli, const std::string& default_benchmarks,
   cli.add_flag("initial-c", "initial contention estimate C_i (0 = variant default)", 0.0);
   cli.add_flag("ci-alpha", "CI smoothing alpha (Adaptive-Improved)", 0.75);
   cli.add_flag("seed", "base RNG seed", static_cast<std::int64_t>(42));
-  cli.add_flag("preempt-permille",
-               "yield probability (permille) at each open, to emulate multicore "
-               "interleaving on undersubscribed hosts; -1 = auto",
-               static_cast<std::int64_t>(-1));
   cli.add_flag("backend", "execution engine: dstm (eager locator) | orec (lazy TL2-style)",
                std::string("dstm"));
   cli.add_flag("arbitration",
@@ -64,16 +60,6 @@ void register_matrix_flags(Cli& cli, const std::string& default_benchmarks,
                "(requester-waits: losers park until the winner's status transition)",
                std::string("abort"));
   cli.add_flag("visible-reads", "visible (paper) vs invisible (validated) reads", true);
-  cli.add_flag("pooling", "recycle TxDesc/Locator/clone blocks through thread pools", true);
-  cli.add_flag("snapshot-ext",
-               "commit-clock snapshot extension for invisible reads (off = validate "
-               "the read set on every open)",
-               true);
-  cli.add_flag("deferred-clock",
-               "GV5-style deferred commit clock: write-commits stamp clock+1 without "
-               "bumping the shared line, which only moves on snapshot extension (off = "
-               "eager fetch_add per commit; needs --snapshot-ext, invisible reads)",
-               true);
   cli.add_flag("validate", "check structure invariants after each run", true);
   cli.add_flag("csv", "emit CSV instead of aligned tables", false);
   cli.add_flag("trace",
@@ -133,13 +119,10 @@ MatrixSpec matrix_from_cli(const Cli& cli) {
   spec.base.duration_ms = cli.get_int("ms");
   spec.base.fixed_commits = static_cast<std::uint64_t>(cli.get_int("fixed-commits"));
   spec.base.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  spec.base.preempt_permille = static_cast<std::int32_t>(cli.get_int("preempt-permille"));
-  spec.base.backend = cli.get_string("backend");
-  spec.base.arbitration = cli.get_string("arbitration");
-  spec.base.visible_reads = cli.get_bool("visible-reads");
-  spec.base.pooling = cli.get_bool("pooling");
-  spec.base.snapshot_ext = cli.get_bool("snapshot-ext");
-  spec.base.deferred_clock = cli.get_bool("deferred-clock");
+  stm::RuntimeConfig& rt = spec.base.runtime;
+  rt.backend = stm::parse_backend(cli.get_string("backend"));
+  rt.arbitration = stm::parse_arbitration(cli.get_string("arbitration"));
+  rt.visible_reads = cli.get_bool("visible-reads");
   spec.base.validate = cli.get_bool("validate");
   spec.repetitions = static_cast<unsigned>(cli.get_int("runs"));
   spec.key_range = cli.get_int("key-range");
@@ -154,11 +137,11 @@ MatrixSpec matrix_from_cli(const Cli& cli) {
   spec.base.trace_events_per_thread =
       static_cast<std::size_t>(cli.get_int("trace-events"));
   if (cli.get_bool("watchdog")) {
-    spec.base.liveness.enabled = true;
-    spec.base.liveness.deadline_ns = cli.get_int("deadline-ms") * 1'000'000;
+    rt.liveness.enabled = true;
+    rt.liveness.deadline_ns = cli.get_int("deadline-ms") * 1'000'000;
   }
   if (cli.get_bool("chaos")) {
-    spec.base.chaos = resilience::default_chaos(cli.get_double("chaos-intensity"));
+    rt.chaos = resilience::default_chaos(cli.get_double("chaos-intensity"));
   }
   spec.zipf_alpha = cli.get_double("zipf-alpha");
   spec.serve = cli.get_bool("serve");

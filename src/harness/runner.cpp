@@ -18,22 +18,9 @@ namespace wstm::harness {
 RunResult run_workload(const std::string& cm_name, cm::Params cm_params, Workload& workload,
                        const RunConfig& run) {
   cm_params.threads = run.threads;
-  stm::RuntimeConfig rt_config;
+  cm_params.requester_waits = run.runtime.arbitration == stm::ArbitrationMode::kWait;
+  stm::RuntimeConfig rt_config = run.runtime;
   rt_config.seed = run.seed;
-  rt_config.backend = stm::parse_backend(run.backend);
-  rt_config.arbitration = stm::parse_arbitration(run.arbitration);
-  cm_params.requester_waits = rt_config.arbitration == stm::ArbitrationMode::kWait;
-  rt_config.visible_reads = run.visible_reads;
-  rt_config.pooling = run.pooling;
-  rt_config.snapshot_ext = run.snapshot_ext;
-  rt_config.deferred_clock = run.deferred_clock;
-  if (run.preempt_permille < 0) {
-    rt_config.preempt_yield_permille = hardware_cpus() < run.threads ? 25 : 0;
-  } else {
-    rt_config.preempt_yield_permille = static_cast<std::uint32_t>(run.preempt_permille);
-  }
-  rt_config.liveness = run.liveness;
-  rt_config.chaos = run.chaos;
 
   // The recorder outlives the Runtime (the config holds a raw pointer).
   std::unique_ptr<trace::Recorder> recorder;

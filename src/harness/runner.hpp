@@ -14,9 +14,9 @@
 
 #include "cm/registry.hpp"
 #include "harness/workload.hpp"
-#include "resilience/chaos.hpp"
 #include "resilience/liveness.hpp"
 #include "stm/metrics.hpp"
+#include "stm/runtime.hpp"
 
 namespace wstm::harness {
 
@@ -31,36 +31,11 @@ struct RunConfig {
   /// Validate the workload after the run (strongly recommended; adds a
   /// quiescent pass over the structure).
   bool validate = true;
-  /// Preemption emulation (see stm::RuntimeConfig::preempt_yield_permille).
-  /// -1 = auto: 25 permille when the host has fewer hardware threads than
-  /// `threads`, otherwise 0.
-  std::int32_t preempt_permille = -1;
-  /// Read mode (see stm::RuntimeConfig::visible_reads). The paper used
-  /// visible reads; invisible trades reader bitmaps for validation.
-  bool visible_reads = true;
-  /// Execution engine: "dstm" (eager locator protocol) or "orec" (lazy
-  /// TL2-style redo logging). Parsed with stm::parse_backend; the CM layer
-  /// is identical on both. See DESIGN.md §12.
-  std::string backend = "dstm";
-  /// Conflict arbitration: "abort" (losers retry immediately, the paper's
-  /// baseline) or "wait" (requester-waits: losers park on the winner's
-  /// descriptor until its status transition). Parsed with
-  /// stm::parse_arbitration. See DESIGN.md §13.
-  std::string arbitration = "abort";
-  /// Recycle protocol metadata through per-thread pools (see
-  /// stm::RuntimeConfig::pooling). Off reproduces the allocator-bound
-  /// pre-pooling numbers for overhead comparisons.
-  bool pooling = true;
-  /// Invisible-read snapshot-extension fast path (see
-  /// stm::RuntimeConfig::snapshot_ext). Off reproduces the
-  /// validate-on-every-open O(R²) numbers for overhead comparisons;
-  /// no effect with visible reads.
-  bool snapshot_ext = true;
-  /// GV5-style deferred commit clock (see stm::RuntimeConfig::deferred_clock
-  /// and DESIGN.md §11). Off reproduces the eager one-fetch_add-per-commit
-  /// shared line for A/B scaling comparisons; only effective with
-  /// snapshot_ext and invisible reads.
-  bool deferred_clock = true;
+  /// Runtime settings: engine, arbitration mode (wait mode also switches
+  /// the manager's requester_waits on), read mode, liveness layer, chaos.
+  /// The runner overrides `seed` with the run's seed above and `recorder`
+  /// per `trace_path`.
+  stm::RuntimeConfig runtime;
   /// When non-empty, record transaction events during the measured interval
   /// and write them here after the run: Chrome trace_event JSON if the path
   /// ends in ".json", the compact binary format otherwise (read it back
@@ -69,12 +44,6 @@ struct RunConfig {
   /// Ring capacity per thread (rounded up to a power of two); when the ring
   /// overflows the oldest events are dropped.
   std::size_t trace_events_per_thread = std::size_t{1} << 16;
-  /// Liveness layer (watchdog + escalation ladder + serial fallback); off
-  /// by default, enabled by the --watchdog flag. See resilience/liveness.hpp.
-  resilience::LivenessConfig liveness;
-  /// Live fault injection; off by default, enabled by --chaos. See
-  /// resilience/chaos.hpp.
-  resilience::ChaosConfig chaos;
 };
 
 struct RunResult {

@@ -3,9 +3,9 @@
 // world, resolves reads and writes, and publishes at commit — while the
 // Runtime keeps everything engine-agnostic above it: CM arbitration,
 // metrics, tracing, liveness escalation, chaos and the deterministic
-// checker. The two engines are DstmBackend (eager obstruction-free
-// locators, runtime.cpp) and OrecEngine (lazy TL2-style redo logs,
-// orec/engine.cpp).
+// checker. The two engines are peers: DstmEngine (eager obstruction-free
+// locators, dstm/engine.cpp) and OrecEngine (lazy lock-based TL2-style redo
+// logs, orec/engine.cpp).
 #pragma once
 
 #include <stdexcept>
@@ -40,6 +40,11 @@ class Backend {
  public:
   virtual ~Backend() = default;
   virtual BackendKind kind() const noexcept = 0;
+
+  /// Sets up the engine's per-slot state for a freshly attached thread
+  /// context. Called by Runtime::attach_thread under its attach mutex,
+  /// before the context runs any attempt.
+  virtual void attach(ThreadCtx& tc) = 0;
 
   /// Attempt-local engine state reset (snapshot establishment, log reset).
   /// Called by Runtime::begin_attempt after the descriptor is published and

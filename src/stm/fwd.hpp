@@ -11,7 +11,7 @@ class ThreadCtx;
 struct TxDesc;
 class TObjectBase;
 class Backend;
-class DstmBackend;
+class DstmEngine;
 class OrecEngine;
 
 /// Which execution engine a Runtime drives (DESIGN.md §12). The CM layer,

@@ -67,12 +67,12 @@ struct ThreadMetrics {
 
   // Shared-line contention (see DESIGN.md §11). These separate "how often a
   // thread wrote a process-wide cache line" from "how often it wanted to".
-  /// Writes to the shared commit-clock line: eager mode counts one per
-  /// write-commit (the PR 5 fetch_add); deferred mode counts only the
-  /// extension-path CAS advances — the whole point of GV5-style deferral.
+  /// Writes to the shared commit-clock line: one per orec write-commit; on
+  /// DSTM (invisible reads) only the extension-path CAS advances — the
+  /// whole point of GV5-style deferral.
   std::uint64_t clock_bumps = 0;
-  /// Write-commits that stamped `clock+1` into their descriptor without
-  /// touching the shared clock line (deferred mode only).
+  /// DSTM write-commits (invisible reads) that stamped `clock+1` into their
+  /// descriptor without touching the shared clock line.
   std::uint64_t deferred_stamps = 0;
   /// Snapshot establishments retried or refused because a commit completed
   /// mid-scan (the deferred clock's interference rule; see DESIGN.md §11).

@@ -29,10 +29,9 @@ OrecEngine::OrecEngine(Runtime& rt, std::uint32_t log2_orecs)
 
 OrecEngine::~OrecEngine() = default;
 
-OrecEngine::TxLogs& OrecEngine::logs(ThreadCtx& tc) {
+void OrecEngine::attach(ThreadCtx& tc) {
   std::unique_ptr<TxLogs>& slot = logs_[tc.slot_];
   if (!slot) slot = std::make_unique<TxLogs>();
-  return *slot;
 }
 
 std::atomic<std::uint64_t>& OrecEngine::orec_of(TObjectBase& obj) {
@@ -68,7 +67,7 @@ void OrecEngine::begin(ThreadCtx& tc) {
   lg.lock_order.clear();
   // rv: every version <= rv was written back before this attempt began, so
   // reading it can never observe a half-committed write set.
-  tc.snapshot_clock_ = rt_.commit_clock_->load(std::memory_order_seq_cst);
+  lg.rv = rt_.commit_clock_->load(std::memory_order_seq_cst);
 }
 
 const void* OrecEngine::read_consistent(ThreadCtx& tc, TObjectBase& obj,
@@ -126,7 +125,7 @@ const void* OrecEngine::read_consistent(ThreadCtx& tc, TObjectBase& obj,
     // store, so reading its body here forces the re-read below to see the
     // lock. Unchanged ⟹ `payload` is the committed version for w1.
     if (orec.load(std::memory_order_seq_cst) != w1) continue;
-    if (OrecTable::version_of(w1) > tc.snapshot_clock_) {
+    if (OrecTable::version_of(w1) > logs(tc).rv) {
       // Version younger than rv: the snapshot cannot absorb it directly.
       // Extend rv (full revalidation; aborts on failure) and re-read.
       extend(tc);
@@ -178,7 +177,7 @@ void OrecEngine::extend(ThreadCtx& tc) {
   // and rv may advance to it (the TL2 extension argument).
   const std::uint64_t clock = rt_.commit_clock_->load(std::memory_order_seq_cst);
   validate_read_set(tc);
-  tc.snapshot_clock_ = clock;
+  logs(tc).rv = clock;
   tc.metrics_.extensions++;
   if (trace::Recorder* rec = rt_.config_.recorder) {
     rec->record(tc.slot_, trace::EventKind::kSnapshotExtend, tc.current_->serial, 1,
@@ -298,7 +297,6 @@ void* OrecEngine::open_write(ThreadCtx& tc, TObjectBase& obj) {
   void* clone = obj.make_clone(tc.pool_, base);
   lg.write_index.insert(&obj, static_cast<std::uint32_t>(lg.writes.size()));
   lg.writes.push_back({&obj, &orec, clone});
-  tc.wrote_this_attempt_ = true;
   rt_.manager_->on_open(tc, *me);
   return clone;
 }
@@ -401,11 +399,10 @@ bool OrecEngine::commit(ThreadCtx& tc) {
   } else {
     validate_read_set(tc);
   }
-  // wv: eager bump on the shared clock, the PR 5 protocol. The PR 7
-  // deferred-stamping machinery stays DSTM-only — orec readers key
-  // validation off orec words, which must carry a real clock value at
-  // release time, so there is no orec-side consumer for a lazy stamp
-  // (DESIGN.md §12).
+  // wv: eager bump on the shared clock. The deferred-stamping machinery
+  // stays DSTM-only — orec readers key validation off orec words, which
+  // must carry a real clock value at release time, so there is no orec-side
+  // consumer for a lazy stamp (DESIGN.md §12).
   const std::uint64_t wv = rt_.commit_clock_->fetch_add(1, std::memory_order_seq_cst) + 1;
   tc.metrics_.clock_bumps++;
   TxStatus expected = TxStatus::kActive;

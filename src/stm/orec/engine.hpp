@@ -1,9 +1,8 @@
 // Lazy TL2-style execution engine over the Backend concept (DESIGN.md §12).
 //
 // Reads sample (orec, body, orec) sandwiches against an attempt-local read
-// version rv (ThreadCtx::snapshot_clock_, the same field the DSTM snapshot
-// fast path uses) and extend rv by revalidating the read set when they trip
-// over a younger version. Writes buffer redo-log clones — nothing is locked
+// version rv and extend rv by revalidating the read set when they trip over
+// a younger version. Writes buffer redo-log clones — nothing is locked
 // until commit, where the engine acquires the write set's orecs in address
 // order, validates the read set, takes a commit timestamp from the shared
 // commit clock, flips status, writes back and releases. Conflicts (a locked
@@ -30,6 +29,7 @@ class OrecEngine final : public Backend {
   ~OrecEngine() override;
 
   BackendKind kind() const noexcept override { return BackendKind::kOrec; }
+  void attach(ThreadCtx& tc) override;
   void begin(ThreadCtx& tc) override;
   const void* open_read(ThreadCtx& tc, TObjectBase& obj) override;
   void* open_write(ThreadCtx& tc, TObjectBase& obj) override;
@@ -56,9 +56,13 @@ class OrecEngine final : public Backend {
   /// Per-slot transaction logs, owned by the engine and reused across
   /// attempts (vectors and index maps keep their capacity, clones come from
   /// the thread's slab pool — the hot path allocates nothing in steady
-  /// state). Indexed by ThreadCtx::slot(), so slot recycling reuses logs;
-  /// begin() resets them.
-  struct TxLogs {
+  /// state). Indexed by ThreadCtx::slot() and created by attach(), so slot
+  /// recycling reuses logs; begin() resets them. Cache-line aligned like
+  /// DstmEngine's slot state: written on every open, allocated back to back.
+  struct alignas(kCacheLine) TxLogs {
+    /// The attempt's read version: every version <= rv is consistent with
+    /// the read set.
+    std::uint64_t rv = 0;
     std::vector<ReadEntry> reads;
     InvisReadIndex read_index;  // orec address -> reads index (dedup)
     std::vector<WriteEntry> writes;
@@ -67,7 +71,7 @@ class OrecEngine final : public Backend {
     std::vector<LockEntry> locks;           // held commit locks, in order
   };
 
-  TxLogs& logs(ThreadCtx& tc);
+  TxLogs& logs(const ThreadCtx& tc) noexcept { return *logs_[tc.slot()]; }
 
   /// The orec covering `obj`, assigning its first-touch id on demand.
   std::atomic<std::uint64_t>& orec_of(TObjectBase& obj);

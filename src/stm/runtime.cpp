@@ -1,5 +1,6 @@
-// The DSTM locator protocol with visible reads. See tobject.hpp for the
-// protocol overview and DESIGN.md §5 for the consistency argument.
+// The engine-agnostic runtime: thread registry, the attempt loop, CM
+// arbitration, liveness escalation, parking and shutdown. The object-level
+// protocols live in the engines (dstm/engine.cpp, orec/engine.cpp).
 #include "stm/runtime.hpp"
 
 #include <algorithm>
@@ -8,6 +9,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "stm/dstm/engine.hpp"
 #include "stm/orec/engine.hpp"
 #include "trace/recorder.hpp"
 
@@ -19,79 +21,13 @@ namespace {
 void release_desc_ref(void* desc_ptr) { static_cast<TxDesc*>(desc_ptr)->release(); }
 }  // namespace
 
-/// The DSTM locator engine behind the Backend interface (DESIGN.md §12):
-/// thin forwarding onto the Runtime protocol bodies below, kept as Runtime
-/// methods so porting the engine onto the backend concept stayed
-/// behavior-preserving line for line.
-class DstmBackend final : public Backend {
- public:
-  explicit DstmBackend(Runtime& rt) : rt_(rt) {}
-  BackendKind kind() const noexcept override { return BackendKind::kDstm; }
-
-  void begin(ThreadCtx& tc) override {
-    if (!rt_.snapshot_ext_on_) return;
-    if (rt_.deferred_clock_on_) {
-      // Refresh the (clock, pending-set) snapshot for this attempt's
-      // fast-accepts. A snapshot's claim — "every commit with stamp <=
-      // snapshot_clock_ whose owner is not in the pending set completed
-      // before the establishment instant" — is about the global commit
-      // order, not about any one attempt, so on mid-scan interference the
-      // previous attempt's snapshot is kept: older merely accepts fewer
-      // stamps (DESIGN.md §11).
-      std::uint64_t clock = 0;
-      if (rt_.snapshot_establish(tc, clock)) {
-        tc.snapshot_clock_ = clock;
-        tc.pending_at_snapshot_.swap(tc.pending_scratch_);
-        tc.snapshot_valid_ = true;
-      } else {
-        tc.metrics_.snapshot_interference++;
-      }
-    } else {
-      // Validated-snapshot timestamp: the read set is empty, so invariant I
-      // (DESIGN.md §5) holds vacuously at this sample and every later open
-      // may skip validation until the clock moves past it.
-      tc.snapshot_clock_ = rt_.commit_clock_->load(std::memory_order_seq_cst);
-    }
-  }
-
-  const void* open_read(ThreadCtx& tc, TObjectBase& obj) override {
-    return rt_.dstm_open_read(tc, obj);
-  }
-  void* open_write(ThreadCtx& tc, TObjectBase& obj) override {
-    return rt_.dstm_open_write(tc, obj);
-  }
-  bool commit(ThreadCtx& tc) override { return rt_.dstm_commit(tc); }
-
-  void end(ThreadCtx& tc, bool /*committed*/) override {
-    for (TObjectBase* obj : tc.read_set_) {
-      tc.metrics_.reader_stripe_retries += obj->readers_.clear(tc.slot_);
-    }
-    tc.read_set_.clear();
-    tc.invis_reads_.clear();
-    tc.invis_index_.reset();
-  }
-
- private:
-  Runtime& rt_;
-};
-
 Runtime::Runtime(cm::ManagerPtr manager, Config config)
     : manager_(std::move(manager)), config_(config) {
   if (!manager_) throw std::invalid_argument("Runtime requires a contention manager");
-  // Visible mode never validates, so the clock would be pure cache-line
-  // traffic there; cache the combined toggle for the hot paths.
-  snapshot_ext_on_ = config_.snapshot_ext && !config_.visible_reads;
-  deferred_clock_on_ = snapshot_ext_on_ && config_.deferred_clock;
   if (config_.backend == BackendKind::kOrec) {
-    // The orec engine validates against orec words and the commit clock
-    // directly; the locator-mode read knobs (visible_reads, snapshot_ext,
-    // deferred_clock) have no orec-side consumer and stay off so no DSTM
-    // machinery runs by accident (see DESIGN.md §12 on the clock).
-    snapshot_ext_on_ = false;
-    deferred_clock_on_ = false;
     backend_ = std::make_unique<OrecEngine>(*this, config_.orec_table_bits);
   } else {
-    backend_ = std::make_unique<DstmBackend>(*this);
+    backend_ = std::make_unique<DstmEngine>(*this);
   }
   manager_->attach_recorder(config_.recorder);
   manager_->attach_wait_hooks(&park_waiter_);
@@ -194,16 +130,12 @@ ThreadCtx& Runtime::attach_thread() {
     if (slot_used_[i].compare_exchange_strong(expected, true, std::memory_order_acq_rel)) {
       const std::uint64_t seed = config_.seed * 0x9e3779b97f4a7c15ULL + i + 1;
       threads_[i].reset(new ThreadCtx(this, i, ebr_.attach(), seed));
-      if (config_.pooling) {
-        threads_[i]->pool_ = util::Pool::acquire();
-        threads_[i]->ebr_.set_pool(threads_[i]->pool_);
-      }
-      threads_[i]->ebr_.set_sync_counter(&threads_[i]->metrics_.ebr_shard_syncs);
-      // Bounds the deferred-clock pending scans; monotone under the mutex.
-      if (i + 1 > attached_high_water_.load(std::memory_order_relaxed)) {
-        attached_high_water_.store(i + 1, std::memory_order_release);
-      }
-      return *threads_[i];
+      ThreadCtx& tc = *threads_[i];
+      tc.pool_ = util::Pool::acquire();
+      tc.ebr_.set_pool(tc.pool_);
+      tc.ebr_.set_sync_counter(&tc.metrics_.ebr_shard_syncs);
+      backend_->attach(tc);
+      return tc;
     }
   }
   throw std::runtime_error("Runtime: all thread slots in use");
@@ -363,7 +295,6 @@ TxDesc* Runtime::begin_attempt(ThreadCtx& tc, std::int64_t first_begin, bool is_
   tc.current_ = desc;
   guard.armed = false;  // published: commit/abort cleanup owns the state now
   tc.waited_this_attempt_ = false;
-  tc.wrote_this_attempt_ = false;
   backend_->begin(tc);
   if (trace::Recorder* rec = config_.recorder) {
     rec->record(tc.slot_, trace::EventKind::kBegin, desc->serial, is_retry ? 1 : 0);
@@ -400,116 +331,6 @@ bool Runtime::finish_attempt_commit(ThreadCtx& tc) {
   }
   const bool committed = backend_->commit(tc);
   cleanup_attempt(tc, committed);
-  return committed;
-}
-
-bool Runtime::dstm_commit(ThreadCtx& tc) {
-  TxDesc* desc = tc.current_;
-  // Invisible reads: the read set must still be current at the commit
-  // point (throws TxAbort into the atomically() retry loop on failure).
-  if (!config_.visible_reads) {
-    if (deferred_clock_on_) {
-      // Deferred clock (DESIGN.md §11): a read-only attempt serializes at
-      // its snapshot-establishment instant — every fast-accepted read was
-      // proven ordered before it, every extension re-validated the whole
-      // set — so no commit-time pass is needed. A writing attempt runs one
-      // full pass: that last validation is its serialization point (the
-      // classic DSTM doctrine for the validation→status-CAS window).
-      if (tc.wrote_this_attempt_) {
-        validate_pass(tc);
-      } else {
-        tc.metrics_.validations_skipped++;
-        tc.metrics_.validation_saved_ns += tc.validate_pass_ewma_ns_;
-      }
-    } else {
-      // Eager clock: a skipped pass means no write committed since the last
-      // full validation, and this skip-check is then the attempt's
-      // serialization instant.
-      validate_or_extend(tc);
-    }
-  }
-  // Chaos: delayed commit (sleep between the decision and the status CAS —
-  // the classic window for lost-update bugs) or a spurious late abort.
-  if (chaos_ != nullptr) [[unlikely]] chaos_at_commit(tc);
-  // Retraction guard for the deferred-clock commit-pending slot: every exit
-  // (status CAS taken or lost, blind-commit bug, checker-injected abort
-  // unwinding from the schedule point below) must clear the announcement
-  // and bump the slot's retraction sequence, or snapshot establishments
-  // would refuse this thread's stamps forever.
-  struct PendingGuard {
-    CommitPending* slot = nullptr;
-    void fire() noexcept {
-      if (slot == nullptr) return;
-      slot->desc.store(nullptr, std::memory_order_seq_cst);
-      slot->seq.store(slot->seq.load(std::memory_order_relaxed) + 1,
-                      std::memory_order_seq_cst);
-      slot = nullptr;
-    }
-    ~PendingGuard() { fire(); }
-  } pending_guard;
-  if (snapshot_ext_on_ && tc.wrote_this_attempt_) {
-    if (deferred_clock_on_) {
-      // Deferred stamping (TL2-GV5 adapted to the locator protocol; proof
-      // in DESIGN.md §11). Order matters and is all seq_cst: announce in
-      // the per-thread commit-pending slot, read the clock, stamp G+1 into
-      // the descriptor, status-CAS, retract. A snapshot establishment that
-      // could mis-order this commit either scans the announcement (the
-      // stamp lands in its pending set) or brackets the retraction (its
-      // per-slot sequence check detects the interference); in every other
-      // interleaving the stamp-read follows the establishment's clock
-      // sample, so the stamp exceeds its snapshot and is refused by value.
-      CommitPending& cp = commit_pending_[tc.slot_];
-      cp.desc.store(desc, std::memory_order_seq_cst);
-      pending_guard.slot = &cp;
-      const std::uint64_t g = commit_clock_->load(std::memory_order_seq_cst);
-      // Relaxed store: readers load the stamp only after an acquire load of
-      // status observes kCommitted, so the CAS below publishes it.
-      desc->commit_stamp.store(g + 1, std::memory_order_relaxed);
-      tc.metrics_.deferred_stamps++;
-      // The stamp→CAS window is exactly what the commit-pending rule
-      // closes; give the checker a schedule point inside it so exploration
-      // (and the seeded stamp_no_pending bug) can stall a writer here.
-      if (sched_point(check::Point::kCommit) == check::Action::kInjectAbort) {
-        injected_abort(tc);  // PendingGuard retracts during unwind
-      }
-    } else {
-      // Eager clock: bump *before* the status transition, so in the seq_cst
-      // total order any reader that still samples the pre-bump value is
-      // ordered before this commit's version switch and its skipped
-      // validation stays sound (DESIGN.md §5). A bump for a CAS that then
-      // loses to a remote kill is harmless — the clock only has to dominate
-      // the set of successful write-commits, and spurious advances merely
-      // force an extra extension pass somewhere.
-      commit_clock_->fetch_add(1, std::memory_order_seq_cst);
-      tc.metrics_.clock_bumps++;
-    }
-  }
-  if (config_.bugs.blind_commit) [[unlikely]] {
-    // SEEDED BUG: a plain store cannot detect a remote kill that landed
-    // between the last open and here — the enemy already proceeded on our
-    // old version, so "committing" anyway loses the update.
-    desc->status.store(TxStatus::kCommitted, std::memory_order_seq_cst);
-    pending_guard.fire();
-    // SEEDED BUG (park-lost-wakeup): drop the commit-path unpark edge.
-    if (!config_.bugs.park_lost_wakeup) signal_status_change(&tc, desc);
-    return true;
-  }
-  TxStatus expected = TxStatus::kActive;
-  const bool committed = desc->status.compare_exchange_strong(
-      expected, TxStatus::kCommitted, std::memory_order_seq_cst);
-  // Retract promptly (a lost CAS retracts too — the spurious sequence bump
-  // at worst costs somebody one establishment retry).
-  pending_guard.fire();
-  // Commit is a status transition: waiters parked on this descriptor must
-  // wake. The seeded park-lost-wakeup bug elides exactly this edge (the
-  // abort-path edges stay), turning a missed commit notification into
-  // bounded timeout stalls in real mode and a detected violation under the
-  // checker. A lost CAS means a remote killer owns the transition — and the
-  // unpark — instead.
-  if (committed && !config_.bugs.park_lost_wakeup) [[likely]] {
-    signal_status_change(&tc, desc);
-  }
-  // false: killed by an enemy between the last open and the commit point.
   return committed;
 }
 
@@ -631,11 +452,6 @@ void Runtime::cleanup_attempt(ThreadCtx& tc, bool committed) {
   attempt_active_[tc.slot_]->store(0, std::memory_order_release);
 }
 
-void Runtime::maybe_emulate_preemption(ThreadCtx& tc) {
-  const std::uint32_t permille = config_.preempt_yield_permille;
-  if (permille != 0 && tc.rng_.below(1000) < permille) std::this_thread::yield();
-}
-
 void Runtime::note_conflict(ThreadCtx& tc, const TxDesc& enemy) {
   if (tc.last_enemy_slot_ == enemy.thread_slot && tc.last_enemy_serial_ == enemy.serial) {
     tc.metrics_.repeat_conflicts++;
@@ -655,10 +471,6 @@ void Runtime::trace_conflict(ThreadCtx& tc, const TxDesc& enemy, ConflictKind ki
   if (res == Resolution::kRetry) {
     rec->record(tc.slot_, trace::EventKind::kWait, serial, 0, enemy.thread_slot, enemy.serial);
   }
-}
-
-void Runtime::ensure_alive(ThreadCtx& tc) {
-  if (!tc.current_->is_active()) throw TxAbort{};
 }
 
 void Runtime::abort_self(ThreadCtx& tc) {
@@ -837,526 +649,6 @@ void Runtime::injected_abort(ThreadCtx& tc) {
   tc.injected_abort_ = true;
   tc.metrics_.injected_aborts++;
   abort_self(tc);
-}
-
-void Runtime::open_prologue(ThreadCtx& tc) {
-  maybe_emulate_preemption(tc);
-  // One clock read per open, taken only when the watchdog consumes it —
-  // the same one-read discipline cleanup_attempt uses; configurations
-  // without the liveness layer never pay for now_ns() here.
-  if (liveness_ != nullptr) liveness_->heartbeat(tc.slot_, now_ns());
-  if (chaos_ != nullptr) [[unlikely]] chaos_at_open(tc);
-}
-
-const void* Runtime::dstm_open_read(ThreadCtx& tc, TObjectBase& obj) {
-  if (!config_.visible_reads) return dstm_open_read_invisible(tc, obj);
-  TxDesc* me = tc.current_;
-
-  // Announce visibility first (flag protocol: the stripe bit-set must
-  // precede the locator load so an acquiring writer either sees our bit in
-  // its stripe scan or we see its locator — both orders get the conflict
-  // resolved).
-  if (!obj.readers_.announced(tc.slot_)) {
-    tc.metrics_.reader_stripe_retries += obj.readers_.announce(tc.slot_);
-    tc.read_set_.push_back(&obj);
-  }
-
-  for (;;) {
-    if (sched_point(check::Point::kRead, &obj) == check::Action::kInjectAbort) {
-      injected_abort(tc);
-    }
-    ensure_alive(tc);
-    Locator* l = obj.loc_.load(std::memory_order_seq_cst);
-    TxDesc* owner = l->owner;
-    if (owner == nullptr || owner == me) {
-      manager_->on_open(tc, *me);
-      return l->new_version;
-    }
-    const TxStatus st = owner->status.load(std::memory_order_acquire);
-    if (st == TxStatus::kCommitted) {
-      manager_->on_open(tc, *me);
-      return l->new_version;
-    }
-    if (st == TxStatus::kAborted) {
-      manager_->on_open(tc, *me);
-      return l->old_version;
-    }
-    // Active enemy writer.
-    tc.metrics_.rw_conflicts++;
-    note_conflict(tc, *owner);
-    const Resolution res = arbitrate(tc, *me, *owner, ConflictKind::kReadWrite);
-    trace_conflict(tc, *owner, ConflictKind::kReadWrite, res);
-    if (res == Resolution::kAbortEnemy) {
-      // Loop re-reads; even if the enemy committed we proceed. The kill is
-      // a status transition, so fire its unpark edge.
-      if (owner->try_abort()) signal_status_change(&tc, owner);
-    } else if (res == Resolution::kAbortSelf) {
-      abort_self(tc);
-    } else {
-      tc.waited_this_attempt_ = true;  // kRetry after an internal wait
-    }
-  }
-}
-
-const void* Runtime::dstm_open_read_invisible(ThreadCtx& tc, TObjectBase& obj) {
-  TxDesc* me = tc.current_;
-  for (;;) {
-    if (sched_point(check::Point::kRead, &obj) == check::Action::kInjectAbort) {
-      injected_abort(tc);
-    }
-    ensure_alive(tc);
-    Locator* l = obj.loc_.load(std::memory_order_seq_cst);
-    TxDesc* owner = l->owner;
-    const void* version = nullptr;
-    // Resolved status of a foreign owner (only consulted then); kActive
-    // never reaches the validation below — it is arbitrated away first.
-    TxStatus owner_st = TxStatus::kCommitted;
-    if (owner == nullptr || owner == me) {
-      version = l->new_version;
-    } else {
-      const TxStatus st = owner->status.load(std::memory_order_acquire);
-      owner_st = st;
-      if (st == TxStatus::kCommitted) {
-        version = l->new_version;
-      } else if (st == TxStatus::kAborted) {
-        version = l->old_version;
-      } else {
-        // Eager conflict with an active writer, same arbitration as the
-        // visible path.
-        tc.metrics_.rw_conflicts++;
-        note_conflict(tc, *owner);
-        const Resolution res = arbitrate(tc, *me, *owner, ConflictKind::kReadWrite);
-        trace_conflict(tc, *owner, ConflictKind::kReadWrite, res);
-        if (res == Resolution::kAbortEnemy) {
-          if (owner->try_abort()) signal_status_change(&tc, owner);
-        } else if (res == Resolution::kAbortSelf) {
-          abort_self(tc);
-        } else {
-          tc.waited_this_attempt_ = true;
-        }
-        continue;
-      }
-    }
-    // Incremental validation (DSTM): everything read so far must still be
-    // current, and this object's locator must not have changed while we
-    // validated — then the whole read set is a snapshot as of this instant.
-    // With the snapshot-extension fast path this is O(R) only when a write
-    // committed since the attempt's last full pass; otherwise the clock
-    // comparison (eager) or the per-object stamp check (deferred — no
-    // shared-line access at all) stands in for the pass (amortized O(1)).
-    if (deferred_clock_on_) {
-      validate_or_extend_deferred(tc, owner, owner_st);
-    } else {
-      validate_or_extend(tc);
-    }
-    // Schedule point inside the validate→recheck window: this is the exact
-    // preemption the recheck below exists to survive, so the checker must be
-    // able to interleave a writer here.
-    if (sched_point(check::Point::kRead, &obj) == check::Action::kInjectAbort) {
-      injected_abort(tc);
-    }
-    // SEEDED BUG (skip_cas_recheck): dropping the locator recheck lets a
-    // writer slip between the validation above and our use of `version`,
-    // so the read set is no longer a snapshot of one instant.
-    if (!config_.bugs.skip_cas_recheck &&
-        obj.loc_.load(std::memory_order_seq_cst) != l) {
-      continue;
-    }
-    // Ghost opacity oracle (checker builds only, under the schedule token
-    // so it cannot perturb exploration): the version about to be handed to
-    // the user must still be the committed one — no schedule point sits
-    // between the recheck above and the return, so a mismatch means the
-    // recheck was skipped (seeded skip_cas_recheck) or regressed and a
-    // writer slipped its commit into the validate→recheck window. Own
-    // acquisitions are exempt: they legitimately return the pre-acquire
-    // version via new_version while committed_view reports old_version.
-    if (config_.checker != nullptr && owner != me &&
-        committed_version(me, obj) != version) {
-      config_.checker->on_opacity_violation(
-          "open_read_invisible returned a version superseded before return");
-    }
-    // Own acquisitions are protected by ownership, not validation.
-    if (owner != me) {
-      const std::uint32_t idx = tc.invis_index_.find(&obj);
-      if (idx != InvisReadIndex::kNotFound) {
-        // Re-read: the set already covers this object; appending again
-        // would make R the read *count* and validation O(reads · R). The
-        // recorded version must match what we just resolved — validation
-        // (or the fast-path invariant) keeps the entry current and the
-        // recheck pinned `version` to the same instant, so a mismatch is a
-        // torn snapshot. Defense in depth: abort rather than assert.
-        if (tc.invis_reads_[idx].version != version) abort_self(tc);
-        tc.metrics_.dup_reads++;
-      } else {
-        tc.invis_index_.insert(&obj, static_cast<std::uint32_t>(tc.invis_reads_.size()));
-        tc.invis_reads_.push_back({&obj, version});
-      }
-    }
-    manager_->on_open(tc, *me);
-    return version;
-  }
-}
-
-Runtime::CommittedView Runtime::committed_view(TxDesc* me, TObjectBase& obj) const {
-  for (;;) {
-    Locator* l = obj.loc_.load(std::memory_order_seq_cst);
-    TxDesc* owner = l->owner;
-    if (owner == nullptr) return {l->new_version, false};
-    // If we acquired the object after reading it, the version we observed
-    // became our locator's old_version (clone-on-write keeps it in place).
-    if (owner == me) return {l->old_version, false};
-    const TxStatus st = owner->status.load(std::memory_order_acquire);
-    // A replacer may have swapped the locator between the two loads above
-    // (only possible once `owner` resolved, i.e. committed or aborted): the
-    // status we just read then describes a superseded locator generation,
-    // and pairing it with l's version pointers can report a version that
-    // was already replaced — re-read instead of relying on lucky ordering.
-    // No schedule point separates the two loads, so the serialized checker
-    // cannot pin this window; it is exercised by the real-thread churn tests
-    // (InvisibleReads.ReadersSeeConsistentPairsUnderChurn, under TSan in CI).
-    // The analogous validate->recheck window in open_read_invisible does
-    // have a point and is pinned by
-    // InvisibleChecker.CommitInValidateRecheckWindowIsCaught.
-    if (obj.loc_.load(std::memory_order_seq_cst) != l) continue;
-    if (st == TxStatus::kCommitted) return {l->new_version, false};
-    // An *active* owner leaves old_version current, but its commit CAS may
-    // land at any moment — flag it so an extension pass cannot claim a
-    // clock value whose bump belongs to this still-pending writer.
-    return {l->old_version, st == TxStatus::kActive};
-  }
-}
-
-void Runtime::validate_reads(ThreadCtx& tc) { validate_pass(tc); }
-
-bool Runtime::validate_pass(ThreadCtx& tc) {
-  TxDesc* me = tc.current_;
-  tc.metrics_.validations++;
-  tc.metrics_.validated_reads += tc.invis_reads_.size();
-  bool no_pending = true;
-  for (const auto& r : tc.invis_reads_) {
-    const CommittedView v = committed_view(me, *r.obj);
-    if (v.version != r.version) abort_self(tc);
-    no_pending &= !v.pending;
-  }
-  return no_pending;
-}
-
-void Runtime::validate_or_extend(ThreadCtx& tc) {
-  if (!snapshot_ext_on_) {
-    validate_pass(tc);
-    return;
-  }
-  const std::uint64_t clock = commit_clock_->load(std::memory_order_seq_cst);
-  if (clock == tc.snapshot_clock_) {
-    // Fast path: every successful write-commit bumps the clock before its
-    // status CAS, so an unchanged clock means no committed version anywhere
-    // has changed since the snapshot was validated (invariant I, DESIGN.md
-    // §5) — the pass would succeed and is skipped; this sample is the
-    // attempt's serialization instant.
-    tc.metrics_.validations_skipped++;
-    tc.metrics_.validation_saved_ns += tc.validate_pass_ewma_ns_;
-    if (config_.checker != nullptr) {
-      // Ghost check (checker builds only, under the schedule token): the
-      // skipped pass must have been guaranteed to succeed — a mismatch here
-      // is an opacity bug in the fast path itself, not in user schedules.
-      TxDesc* me = tc.current_;
-      for (const auto& r : tc.invis_reads_) {
-        if (committed_view(me, *r.obj).version != r.version) {
-          config_.checker->on_opacity_violation(
-              "snapshot fast path skipped a validation that would have failed");
-          break;
-        }
-      }
-    }
-    return;
-  }
-  // Extension pass (LSA/TL2-style): some write committed since the last
-  // pass, so validate the whole set once; on success it is a snapshot as of
-  // the sample above and the snapshot may advance to `clock` — unless a
-  // pending writer was seen: its bump may be the very advance we sampled
-  // with the commit CAS still in flight, and claiming `clock` would let
-  // that commit invalidate an entry while the clock appears unchanged.
-  const std::int64_t t0 = now_ns();
-  const bool no_pending = validate_pass(tc);
-  const std::int64_t pass_ns = now_ns() - t0;
-  tc.validate_pass_ewma_ns_ = tc.validate_pass_ewma_ns_ == 0
-                                  ? pass_ns
-                                  : (3 * tc.validate_pass_ewma_ns_ + pass_ns) / 4;
-  tc.metrics_.extensions++;
-  if (no_pending) tc.snapshot_clock_ = clock;
-  if (trace::Recorder* rec = config_.recorder) {
-    rec->record(tc.slot_, trace::EventKind::kSnapshotExtend, tc.current_->serial,
-                no_pending ? 1 : 0, trace::kNoEnemy,
-                static_cast<std::uint64_t>(tc.invis_reads_.size()), clock);
-  }
-}
-
-bool Runtime::snapshot_establish(ThreadCtx& tc, std::uint64_t& clock_out) {
-  const unsigned hi = attached_high_water_.load(std::memory_order_acquire);
-  auto& seqs = tc.pending_seq_scratch_;
-  seqs.resize(hi);
-  // Pass 1, before the clock sample: per-slot retraction sequences. A
-  // commit whose status CAS could land after the sample but whose slot the
-  // pending scan would find already retracted is exactly the one a single
-  // scan mis-orders; it necessarily bumps its sequence inside this bracket.
-  for (unsigned i = 0; i < hi; ++i) {
-    seqs[i] = commit_pending_[i].seq.load(std::memory_order_seq_cst);
-  }
-  const std::uint64_t clock = commit_clock_->load(std::memory_order_seq_cst);
-  // Pass 2, after the sample: the commit-pending set, then the sequence
-  // re-read (per slot, in that order — the proof needs the re-read to
-  // follow the slot's pending read). Case analysis per announced writer W
-  // with stamp <= clock whose switch might postdate the sample: W still
-  // announced here → lands in the pending set, refused by identity; W
-  // retracted first → its sequence bump is inside the bracket, detected as
-  // interference; W announced only after its slot was scanned → its clock
-  // read follows our sample, so its stamp exceeds `clock` and is refused
-  // by value. (DESIGN.md §11.)
-  tc.pending_scratch_.clear();
-  bool stable = true;
-  for (unsigned i = 0; i < hi; ++i) {
-    const CommitPending& cp = commit_pending_[i];
-    if (const TxDesc* w = cp.desc.load(std::memory_order_seq_cst)) {
-      if (w != tc.current_) tc.pending_scratch_.push_back(w);
-    }
-    stable &= cp.seq.load(std::memory_order_seq_cst) == seqs[i];
-  }
-  clock_out = clock;
-  return stable;
-}
-
-void Runtime::validate_or_extend_deferred(ThreadCtx& tc, TxDesc* owner, TxStatus st) {
-  TxDesc* me = tc.current_;
-  if (owner == me) {
-    // Own acquisition: the returned clone is transaction-local, so this
-    // open adds no new shared observation and the recorded set cannot have
-    // become newly inconsistent through it — nothing to validate.
-    tc.metrics_.validations_skipped++;
-    tc.metrics_.validation_saved_ns += tc.validate_pass_ewma_ns_;
-    return;
-  }
-  std::uint64_t trigger = 0;
-  bool fast = false;
-  bool owner_pending = false;
-  if (tc.snapshot_valid_) {
-    if (owner == nullptr) {
-      // Initial locator: never switched. The version has been current since
-      // the object was published, and whichever validated read led us to
-      // this object proves the publishing commit precedes the snapshot.
-      fast = true;
-    } else if (st == TxStatus::kCommitted) {
-      trigger = owner->commit_stamp.load(std::memory_order_acquire);
-      for (const TxDesc* w : tc.pending_at_snapshot_) owner_pending |= (w == owner);
-      // SEEDED BUG (stamp_no_pending): dropping the pending-set membership
-      // check treats a writer that was still mid-commit at snapshot
-      // establishment — its status CAS possibly after the establishment
-      // instant — as pre-snapshot (opacity bug, DESIGN.md §11).
-      fast = trigger <= tc.snapshot_clock_ &&
-             (!owner_pending || config_.bugs.stamp_no_pending);
-    }
-    // st == kAborted: old_version is current, but its *producing* writer's
-    // identity is gone (only its stamp could be carried, and the pending
-    // rule needs the identity) — take the extension path. Rare: an aborted
-    // locator is replaced by the next acquirer.
-  }
-  if (fast) {
-    tc.metrics_.validations_skipped++;
-    tc.metrics_.validation_saved_ns += tc.validate_pass_ewma_ns_;
-    if (config_.checker != nullptr && owner_pending) {
-      // Ghost oracle (checker builds only): a fast-accept's soundness
-      // precondition is that the owner's switch is provably ordered before
-      // the snapshot instant; an owner recorded as mid-commit at
-      // establishment has no such proof — its status CAS may have landed
-      // after the establishment, which is the exact staleness window the
-      // seeded stamp_no_pending bug opens. (Unlike the eager fast path,
-      // recorded entries may here be legitimately superseded — the attempt
-      // serializes at its snapshot instant — so no full-set re-check.)
-      config_.checker->on_opacity_violation(
-          "deferred-clock fast path accepted a stamp from a writer that was "
-          "mid-commit at snapshot establishment");
-    }
-    return;
-  }
-  extend_deferred(tc, trigger);
-}
-
-void Runtime::extend_deferred(ThreadCtx& tc, std::uint64_t trigger_stamp) {
-  // Raise the clock to cover the triggering stamp first, so this extension
-  // is the one shared-line write amortized over the whole clock generation:
-  // every other thread tripping over the same generation finds the clock
-  // already raised, re-establishes, and fast-accepts from then on. Stamps
-  // are G+1 for some observed clock G <= current, so the raise is by one.
-  if (trigger_stamp != 0) {
-    std::uint64_t cur = commit_clock_->load(std::memory_order_seq_cst);
-    while (cur < trigger_stamp) {
-      if (commit_clock_->compare_exchange_weak(cur, trigger_stamp,
-                                               std::memory_order_seq_cst)) {
-        tc.metrics_.clock_bumps++;
-        if (trace::Recorder* rec = config_.recorder) {
-          rec->record(tc.slot_, trace::EventKind::kClockBump, tc.current_->serial, 0,
-                      trace::kNoEnemy, trigger_stamp);
-        }
-        break;
-      }
-    }
-  }
-  std::uint64_t clock = 0;
-  const bool stable = snapshot_establish(tc, clock);
-  const std::int64_t t0 = now_ns();
-  validate_pass(tc);  // aborts self on any stale entry
-  const std::int64_t pass_ns = now_ns() - t0;
-  tc.validate_pass_ewma_ns_ = tc.validate_pass_ewma_ns_ == 0
-                                  ? pass_ns
-                                  : (3 * tc.validate_pass_ewma_ns_ + pass_ns) / 4;
-  tc.metrics_.extensions++;
-  if (stable) {
-    // Advance. Eager mode's per-entry pending-writer rule is subsumed by
-    // the commit-pending scan: an entry's still-active owner either had
-    // announced before the scan (its commits stay refusable by identity)
-    // or will read its stamp after our sample (refusable by value) — see
-    // DESIGN.md §11.
-    tc.snapshot_clock_ = clock;
-    tc.pending_at_snapshot_.swap(tc.pending_scratch_);
-    tc.snapshot_valid_ = true;
-  } else {
-    tc.metrics_.snapshot_interference++;
-  }
-  if (trace::Recorder* rec = config_.recorder) {
-    rec->record(tc.slot_, trace::EventKind::kSnapshotExtend, tc.current_->serial,
-                stable ? 1 : 0, trace::kNoEnemy,
-                static_cast<std::uint64_t>(tc.invis_reads_.size()), clock);
-  }
-}
-
-void* Runtime::dstm_open_write(ThreadCtx& tc, TObjectBase& obj) {
-  TxDesc* me = tc.current_;
-
-  for (;;) {
-    if (sched_point(check::Point::kWrite, &obj) == check::Action::kInjectAbort) {
-      injected_abort(tc);
-    }
-    ensure_alive(tc);
-    Locator* l = obj.loc_.load(std::memory_order_seq_cst);
-    TxDesc* owner = l->owner;
-    if (owner == me) {
-      manager_->on_open(tc, *me);
-      return l->new_version;  // already acquired in this attempt
-    }
-
-    void* current = nullptr;
-    void* dead = nullptr;
-    // Resolved status of the replaced locator's owner (stable: it already
-    // left kActive); feeds the deferred-clock validation below, which
-    // treats the clone's base as a fresh shared observation.
-    TxStatus prev_st = TxStatus::kCommitted;
-    if (owner == nullptr) {
-      current = l->new_version;
-    } else {
-      const TxStatus st = owner->status.load(std::memory_order_acquire);
-      prev_st = st;
-      if (st == TxStatus::kCommitted) {
-        current = l->new_version;
-        dead = l->old_version;
-      } else if (st == TxStatus::kAborted) {
-        current = l->old_version;
-        dead = l->new_version;
-      } else {
-        tc.metrics_.ww_conflicts++;
-        note_conflict(tc, *owner);
-        const Resolution res = arbitrate(tc, *me, *owner, ConflictKind::kWriteWrite);
-        trace_conflict(tc, *owner, ConflictKind::kWriteWrite, res);
-        if (res == Resolution::kAbortEnemy) {
-          if (owner->try_abort()) signal_status_change(&tc, owner);
-        } else if (res == Resolution::kAbortSelf) {
-          abort_self(tc);
-        } else {
-          tc.waited_this_attempt_ = true;
-        }
-        continue;
-      }
-    }
-
-    void* clone = obj.make_clone(tc.pool_, current);
-    auto* fresh = new (util::Pool::allocate(tc.pool_, sizeof(Locator)))
-        Locator{me, current, clone, nullptr, obj.destroy_,
-                snapshot_ext_on_ ? commit_clock_->load(std::memory_order_relaxed) : 0};
-    me->add_ref();
-    const check::Action cas_act = sched_point(check::Point::kCas, &obj);
-    if (cas_act == check::Action::kInjectAbort) {
-      obj.destroy_(fresh->new_version);
-      util::Pool::deallocate(fresh);
-      me->release();
-      injected_abort(tc);
-    }
-    if (cas_act != check::Action::kFailCas &&
-        obj.loc_.compare_exchange_strong(l, fresh, std::memory_order_seq_cst)) {
-      // `l` is now unreachable for new opens; readers pinned in EBR may
-      // still hold it, so retire rather than free. The losing version dies
-      // with it.
-      l->dead_version = dead;
-      tc.ebr_.retire(l, &Locator::reclaim);
-      tc.wrote_this_attempt_ = true;  // commit must bump the snapshot clock
-      if (config_.visible_reads) {
-        // SEEDED BUG (skip_reader_abort): acquiring without resolving the
-        // visible readers leaves them on snapshots this write supersedes.
-        if (!config_.bugs.skip_reader_abort) resolve_readers(tc, obj);
-      } else {
-        // DSTM validates on every open: the clone's base (the replaced
-        // locator's committed version) is a fresh shared observation the
-        // user code is about to see, so the set + base must still be one
-        // snapshot. The deferred fast path keys off the *replaced*
-        // locator's owner — the producer of the base version.
-        if (deferred_clock_on_) {
-          validate_or_extend_deferred(tc, owner, prev_st);
-        } else {
-          validate_or_extend(tc);
-        }
-      }
-      manager_->on_open(tc, *me);
-      return fresh->new_version;
-    }
-    // Lost the install race; roll back the speculative locator.
-    obj.destroy_(fresh->new_version);
-    util::Pool::deallocate(fresh);
-    me->release();
-  }
-}
-
-void Runtime::resolve_readers(ThreadCtx& tc, TObjectBase& obj) {
-  TxDesc* me = tc.current_;
-  // Scan all stripes of the acquire-time reader snapshot (the flag
-  // protocol's seq_cst pairing is per stripe word; a reader announcing
-  // after its stripe was scanned sees our installed locator instead).
-  for (unsigned stripe = 0; stripe < ReaderStripes::kStripes; ++stripe) {
-    std::uint64_t bits = obj.readers_.load_stripe(stripe, std::memory_order_seq_cst);
-    if (stripe == ReaderStripes::stripe_of(tc.slot_)) {
-      bits &= ~ReaderStripes::bit_of(tc.slot_);
-    }
-    while (bits != 0) {
-      const unsigned bit = static_cast<unsigned>(__builtin_ctzll(bits));
-      bits &= bits - 1;
-      const unsigned slot = ReaderStripes::slot_at(stripe, bit);
-      for (;;) {
-        if (sched_point(check::Point::kReaderResolve, &obj) ==
-            check::Action::kInjectAbort) {
-          injected_abort(tc);
-        }
-        ensure_alive(tc);
-        TxDesc* enemy = tx_of_slot(slot);
-        if (enemy == nullptr || enemy == me || !enemy->is_active()) break;
-        tc.metrics_.wr_conflicts++;
-        note_conflict(tc, *enemy);
-        const Resolution res = arbitrate(tc, *me, *enemy, ConflictKind::kWriteRead);
-        trace_conflict(tc, *enemy, ConflictKind::kWriteRead, res);
-        if (res == Resolution::kAbortEnemy) {
-          if (enemy->try_abort()) signal_status_change(&tc, enemy);
-          break;
-        }
-        if (res == Resolution::kAbortSelf) abort_self(tc);
-        tc.waited_this_attempt_ = true;  // kRetry: re-examine this reader
-      }
-    }
-  }
 }
 
 ThreadMetrics Runtime::total_metrics() const {

@@ -57,9 +57,8 @@ struct TxAbort {};
 
 /// Open-addressed pointer→index map, generation-stamped so the per-attempt
 /// reset is O(1) (no clearing); capacity persists across attempts, matching
-/// the log vectors' allocation discipline. Used by open_read_invisible to
-/// dedup re-reads and by the orec engine to index its read/write logs —
-/// keys are opaque pointers (TObjectBase* or orec-word addresses).
+/// the log vectors' allocation discipline. Both engines index their logs
+/// with it — keys are opaque pointers (TObjectBase* or orec-word addresses).
 class InvisReadIndex {
  public:
   static constexpr std::uint32_t kNotFound = UINT32_MAX;
@@ -137,7 +136,7 @@ class ThreadCtx {
  private:
   friend class Runtime;
   friend class Tx;
-  friend class DstmBackend;
+  friend class DstmEngine;
   friend class OrecEngine;
 
   struct TrackedAlloc {
@@ -152,46 +151,13 @@ class ThreadCtx {
   unsigned slot_;
   ebr::Handle ebr_;
   Xoshiro256 rng_;
-  /// Slab pool for TxDesc/Locator/clone blocks (null when
-  /// RuntimeConfig::pooling is off → per-object global allocations).
+  /// Slab pool for TxDesc/Locator/clone blocks, acquired at attach.
   util::Pool* pool_ = nullptr;
   /// Set once by detach_thread; makes a second detach a safe no-op.
   bool detached_ = false;
   TxDesc* current_ = nullptr;
   std::uint64_t serial_ = 0;
   ThreadMetrics metrics_;
-  std::vector<TObjectBase*> read_set_;  // visible mode: objects with our bit
-  struct InvisRead {
-    TObjectBase* obj;
-    const void* version;  // committed version observed at open
-  };
-  std::vector<InvisRead> invis_reads_;  // invisible mode: validation set
-  InvisReadIndex invis_index_;          // dedup map over invis_reads_
-  // Snapshot-extension fast path (invisible mode; see DESIGN.md §5).
-  /// Commit-clock value as of this attempt's last full read-set validation:
-  /// clock still equal ⟹ every recorded version is still the committed one.
-  std::uint64_t snapshot_clock_ = 0;
-  /// Acquired at least one object this attempt → bump the clock on commit.
-  bool wrote_this_attempt_ = false;
-  // Deferred-clock snapshot state (DESIGN.md §11). A snapshot is the pair
-  // (snapshot_clock_, pending_at_snapshot_): commits with stamp <=
-  // snapshot_clock_ whose owner is not in the pending set are provably
-  // ordered before the snapshot instant and may be fast-accepted per open
-  // without touching the shared clock line.
-  /// False until an establishment completes without mid-scan interference;
-  /// while false every open takes the extension path.
-  bool snapshot_valid_ = false;
-  /// Descriptors announced in commit_pending_ at establishment time. Raw
-  /// identities, compared only (never dereferenced) — pool recycling can
-  /// only cause a spurious refusal, which is the safe direction.
-  std::vector<const TxDesc*> pending_at_snapshot_;
-  /// Establishment scratch (per-slot sequence pre-scan + candidate pending
-  /// set), kept allocated across attempts like the read-set vectors.
-  std::vector<std::uint64_t> pending_seq_scratch_;
-  std::vector<const TxDesc*> pending_scratch_;
-  /// EWMA of the measured extension-pass cost, feeding the
-  /// validation_saved_ns estimate for skipped passes.
-  std::int64_t validate_pass_ewma_ns_ = 0;
   std::vector<TrackedAlloc> allocs_;
   std::vector<TrackedAlloc> commit_retires_;
   bool waited_this_attempt_ = false;
@@ -258,11 +224,10 @@ struct RuntimeConfig {
   std::uint64_t seed = 0x5eed;  // base seed for per-thread RNGs
 
   /// Execution engine (DESIGN.md §12). kDstm: eager obstruction-free
-  /// per-object locators — the paper's substrate, with all the read-mode /
-  /// snapshot / deferred-clock knobs below. kOrec: lazy TL2-style engine
-  /// (redo-log write buffering over a striped orec table, commit-time lock
-  /// acquisition, timestamp read-set validation against the same commit
-  /// clock). The CM family, liveness ladder, metrics, trace and checker
+  /// per-object locators — the paper's substrate, with the read mode
+  /// below. kOrec: lazy TL2-style engine (redo-log write buffering over a
+  /// striped orec table, commit-time lock acquisition, timestamp read-set
+  /// validation against the same commit clock). The CM family, liveness ladder, metrics, trace and checker
   /// apply identically to both.
   BackendKind backend = BackendKind::kDstm;
 
@@ -281,57 +246,23 @@ struct RuntimeConfig {
   /// sharing of locks, which the engine must (and tests do) tolerate.
   std::uint32_t orec_table_bits = 16;
 
-  /// Preemption emulation for hosts with fewer hardware threads than
-  /// benchmark threads: with probability permille/1000, yield the CPU at
-  /// each object open. On a single-core host OS timeslices (~ms) dwarf
-  /// transaction lengths (~us), so transactions almost never interleave
-  /// and conflicts vanish; yielding at open granularity restores the
-  /// interleaving a multicore would produce, at the exact points where
-  /// conflicts arise. 0 disables (the default; use 0 on real multicore).
-  std::uint32_t preempt_yield_permille = 0;
-
-  /// Read mode, mirroring DSTM2's two options (the paper used visible):
+  /// DSTM read mode, mirroring DSTM2's two options (the paper used visible):
   ///  * visible (default): readers announce themselves in the per-object
-  ///    reader bitmap; writers abort them eagerly, no validation needed.
+  ///    reader records; writers abort them eagerly, no validation needed.
   ///  * invisible: readers leave no trace; instead the read set
-  ///    (object, observed version) is re-validated on every subsequent
-  ///    open and at commit — O(R) per open, the classic DSTM trade-off.
-  ///    Writers never see readers, so read-write conflicts surface as the
-  ///    reader's own validation aborts.
+  ///    (object, observed version) is validated under a TL2-GV5-style
+  ///    deferred commit clock (DESIGN.md §11): write-commits stamp
+  ///    `clock+1` into their descriptor without touching the shared line,
+  ///    and opens fast-accept per object, so a full pass runs only when a
+  ///    fresh stamp trips one (amortized O(1) per open). Writers never see
+  ///    readers, so read-write conflicts surface as the reader's own
+  ///    validation aborts.
   bool visible_reads = true;
 
   /// Optional event recorder (non-owning; must outlive the Runtime). Null
   /// disables tracing: every instrumentation site then costs one
   /// predictable null-pointer branch. See trace/recorder.hpp.
   trace::Recorder* recorder = nullptr;
-
-  /// Recycle TxDesc/Locator/version-clone blocks and EBR retire chunks
-  /// through per-thread slab pools (util/pool.hpp), making the steady-state
-  /// attempt allocation-free. Off = one global allocation per protocol
-  /// object (the pre-pooling behavior), kept selectable so figures can
-  /// report both sides of the ablation.
-  bool pooling = true;
-
-  /// Invisible-read snapshot-extension fast path: a process-wide commit
-  /// clock (bumped by every successful write-commit) lets open_read skip
-  /// read-set validation while no write has committed since the attempt's
-  /// last full pass — amortized O(1) per open instead of O(R), the LSA/TL2
-  /// idea grafted onto the DSTM locator protocol (see DESIGN.md §5).
-  /// Ignored in visible mode. Off = validate on every open (the pre-clock
-  /// behavior), kept selectable so figures can A/B the pathology.
-  bool snapshot_ext = true;
-
-  /// TL2-GV5-style deferred commit clock (see DESIGN.md §11): write-commits
-  /// stamp `clock+1` into their descriptor without incrementing the shared
-  /// line; only snapshot-extension passes that trip over a fresh stamp
-  /// advance the clock (one CAS per clock generation instead of one
-  /// fetch_add per write-commit). Opens fast-accept per object via the
-  /// owner's commit stamp and the attempt's commit-pending set, so the
-  /// fast path performs no shared-clock access at all. Off = PR 5's eager
-  /// bump-before-CAS, kept selectable for the A/B contention metric and
-  /// the checker's cross-mode identity tests. Only meaningful when
-  /// `snapshot_ext` is on in invisible mode.
-  bool deferred_clock = true;
 
   /// Optional deterministic-checker hook (non-owning; must outlive the
   /// Runtime). Null disables checking: every schedule point then costs one
@@ -492,11 +423,10 @@ class Runtime {
 
  private:
   friend class Tx;
-  friend class DstmBackend;
+  friend class DstmEngine;
   friend class OrecEngine;
 
-  /// Engine dispatch: shared prologue (preemption emulation, liveness
-  /// heartbeat, chaos), then the backend's open protocol.
+  /// Engine dispatch: shared prologue, then the backend's open protocol.
   const void* open_read(ThreadCtx& tc, TObjectBase& obj) {
     open_prologue(tc);
     return backend_->open_read(tc, obj);
@@ -506,18 +436,17 @@ class Runtime {
     return backend_->open_write(tc, obj);
   }
 
-  // DSTM (locator) protocol bodies, called by DstmBackend.
-  const void* dstm_open_read(ThreadCtx& tc, TObjectBase& obj);
-  const void* dstm_open_read_invisible(ThreadCtx& tc, TObjectBase& obj);
-  void* dstm_open_write(ThreadCtx& tc, TObjectBase& obj);
-  bool dstm_commit(ThreadCtx& tc);
+  /// Shared open_read/open_write prologue: liveness heartbeat (one now_ns,
+  /// taken only when the watchdog consumes it — configurations without the
+  /// liveness layer never pay for the clock read here) and chaos injection.
+  void open_prologue(ThreadCtx& tc) {
+    if (liveness_ != nullptr) liveness_->heartbeat(tc.slot_, now_ns());
+    if (chaos_ != nullptr) [[unlikely]] chaos_at_open(tc);
+  }
 
   TxDesc* begin_attempt(ThreadCtx& tc, std::int64_t first_begin, bool is_retry);
   bool finish_attempt_commit(ThreadCtx& tc);  // false = lost the commit race
   void finish_attempt_abort(ThreadCtx& tc);
-
-  /// See RuntimeConfig::preempt_yield_permille.
-  void maybe_emulate_preemption(ThreadCtx& tc);
 
   /// Repeat-conflict accounting: conflicts against the same enemy attempt
   /// as the previous conflict on this thread.
@@ -540,69 +469,13 @@ class Runtime {
   /// in the kAbort event detail) and unwinds via abort_self.
   [[noreturn]] void injected_abort(ThreadCtx& tc);
 
-  /// Invisible-read mode: the committed version of `obj` as of now, plus
-  /// whether an *active* owner was pending on it (its commit CAS may land
-  /// after a clock bump we already sampled — see validate_or_extend).
-  /// Re-loads the locator after the owner-status read and retries on change,
-  /// so a commit that lands between the two loads is never misread as the
-  /// old version. Never blocks.
-  struct CommittedView {
-    const void* version;
-    bool pending;
-  };
-  CommittedView committed_view(TxDesc* me, TObjectBase& obj) const;
-  /// CommittedView::version shorthand for callers without a pending check.
-  const void* committed_version(TxDesc* me, TObjectBase& obj) const {
-    return committed_view(me, obj).version;
-  }
-  /// Invisible-read mode: abort self unless every recorded read still
-  /// matches the object's current committed version.
-  void validate_reads(ThreadCtx& tc);
-  /// Snapshot-extension front end for validate_reads: skips the O(R) pass
-  /// while commit_clock_ still equals the attempt's validated snapshot,
-  /// otherwise runs one full extension pass and advances the snapshot —
-  /// unless a pending writer made the sampled clock value unclaimable.
-  void validate_or_extend(ThreadCtx& tc);
-  /// Deferred-clock front end (DESIGN.md §11): decides per opened object
-  /// whether its resolved version's producing switch is provably ordered
-  /// before the attempt's snapshot (owner committed with stamp <=
-  /// snapshot_clock_ and not in the pending set → skip, no shared-line
-  /// access), otherwise raises the clock to cover the triggering stamp and
-  /// runs one extension pass + snapshot re-establishment. `owner`/`st` are
-  /// the replaced/loaded locator's owner and its status as resolved by the
-  /// caller; `st` is stable here because kActive owners were already
-  /// handled as conflicts.
-  void validate_or_extend_deferred(ThreadCtx& tc, TxDesc* owner, TxStatus st);
-  /// One extension pass under the deferred clock: raise the clock to
-  /// `trigger_stamp` if needed, re-establish the snapshot (sample + pending
-  /// scan with the interference rule), and run the full validation pass.
-  void extend_deferred(ThreadCtx& tc, std::uint64_t trigger_stamp);
-  /// Establishes the raw material for (snapshot_clock_, pending_at_snapshot_):
-  /// per-slot sequence pre-scan, clock sample, pending scan, sequence
-  /// re-scan. Returns true with the sampled clock in `clock_out` and the
-  /// mid-commit writers in tc.pending_scratch_ when the bracket was stable;
-  /// false on mid-scan interference (a commit retracted inside the bracket),
-  /// in which case the caller must leave the old snapshot untouched — it
-  /// stays sound for its own clock value. Does NOT validate the read set;
-  /// callers pair it with validate_pass.
-  bool snapshot_establish(ThreadCtx& tc, std::uint64_t& clock_out);
-  /// validate_reads body: one full pass over invis_reads_ (aborts self on
-  /// any mismatch), returning whether the whole set was free of pending
-  /// writers (the extension pass may only advance the snapshot if so).
-  bool validate_pass(ThreadCtx& tc);
-
-  /// Shared open_read/open_write prologue: preemption emulation, liveness
-  /// heartbeat (one now_ns, taken only when the watchdog consumes it), and
-  /// chaos injection.
-  void open_prologue(ThreadCtx& tc);
-
   /// Throws TxAbort if the calling transaction has been killed remotely.
-  void ensure_alive(ThreadCtx& tc);
+  /// Inline: both engines run it at every open.
+  void ensure_alive(ThreadCtx& tc) {
+    if (!tc.current_->is_active()) throw TxAbort{};
+  }
   /// Kills the own transaction and throws TxAbort.
   [[noreturn]] void abort_self(ThreadCtx& tc);
-
-  /// Resolve the visible readers present at acquire time.
-  void resolve_readers(ThreadCtx& tc, TObjectBase& obj);
 
   /// Conflict arbitration front end: plain manager resolve() when the
   /// liveness layer is off; otherwise irrevocability short-circuits
@@ -666,36 +539,17 @@ class Runtime {
 
   cm::ManagerPtr manager_;
   Config config_;
-  /// The execution engine (DstmBackend or OrecEngine per config_.backend),
+  /// The execution engine (DstmEngine or OrecEngine per config_.backend),
   /// constructed once in the ctor; never null after construction.
   std::unique_ptr<Backend> backend_;
-  /// config_.snapshot_ext && !config_.visible_reads, cached so visible-mode
-  /// runs never touch the shared clock line. Forced off under the orec
-  /// backend (which validates against orec words, not locators).
-  bool snapshot_ext_on_ = false;
-  /// snapshot_ext_on_ && config_.deferred_clock, cached likewise.
-  bool deferred_clock_on_ = false;
   ebr::Domain ebr_;
-  /// Process-wide commit clock. Eager mode (PR 5): advanced by every
-  /// successful write-commit. Deferred mode (DESIGN.md §11): advanced only
-  /// by extension passes that trip over a fresh commit stamp. All
-  /// protocol-relevant accesses are seq_cst — the opacity argument leans on
-  /// the single total order over {bump, reader clock sample, commit-pending
-  /// announce/retract, locator install/load}.
+  /// Process-wide commit clock shared by both engines. DSTM (invisible
+  /// reads) advances it only from extension passes that trip over a fresh
+  /// commit stamp (DESIGN.md §11); orec bumps it on every write-commit
+  /// (DESIGN.md §12). All protocol-relevant accesses are seq_cst — the
+  /// opacity arguments lean on the single total order over {bump, reader
+  /// clock sample, commit-pending announce/retract, locator install/load}.
   CacheAligned<std::atomic<std::uint64_t>> commit_clock_{};
-  /// Deferred-clock commit-pending slots, one cache line per thread. `desc`
-  /// is non-null from just before a write-commit reads its stamp until just
-  /// after its status CAS; `seq` counts completed retractions so a snapshot
-  /// establishment can detect a commit that started *and* finished inside
-  /// its scan bracket (the interference rule, DESIGN.md §11).
-  struct alignas(kCacheLine) CommitPending {
-    std::atomic<TxDesc*> desc{nullptr};
-    std::atomic<std::uint64_t> seq{0};
-  };
-  std::array<CommitPending, kMaxThreads> commit_pending_{};
-  /// One past the highest slot ever attached; bounds the pending scans.
-  /// Monotone, updated under attach_mutex_, read with acquire.
-  std::atomic<unsigned> attached_high_water_{0};
   std::array<CacheAligned<std::atomic<TxDesc*>>, kMaxThreads> current_tx_{};
   std::array<std::unique_ptr<ThreadCtx>, kMaxThreads> threads_{};
   /// Detached contexts, kept until Runtime destruction so references held by

@@ -17,9 +17,10 @@
 // Visible reads: striped per-object reader records with one bit per thread
 // slot, spread over K cache-line-padded words (stripe = slot % K, bit =
 // slot / K). Writers resolve against every active reader in their
-// acquire-time snapshot by scanning the stripes; combined with the "check
-// own status before every open" rule in the runtime this yields consistent
-// views without read-set validation (see DESIGN.md §5, §11).
+// acquire-time snapshot by scanning the stripes; combined with the engine's
+// own-status re-check after every locator load (stm/dstm/engine.cpp) this
+// yields consistent views without read-set validation (see DESIGN.md §5,
+// §11).
 #pragma once
 
 #include <atomic>
@@ -117,12 +118,6 @@ struct Locator {
   void* new_version;    // owner's private clone / the committed version
   void* dead_version;   // set by the replacer: the version that lost
   void (*destroy)(void*);
-  /// Commit-clock value at install time (0 for the initial locator and when
-  /// the snapshot-extension fast path is off). Diagnostics only: tells the
-  /// checker's opacity oracle and the trace how recent an acquisition is
-  /// relative to a reader's validated snapshot; never load-bearing for the
-  /// protocol itself.
-  std::uint64_t stamp;
 
   /// EBR deleter: frees the superseded version, drops the owner ref, and
   /// recycles the locator's block.
@@ -130,8 +125,9 @@ struct Locator {
 };
 
 /// Non-template core of a transactional object. All protocol logic lives in
-/// the runtime (one non-template translation unit); this class only owns
-/// the locator chain head and the striped visible-reader records.
+/// the engines (non-template translation units); this class only owns the
+/// locator chain head, the striped visible-reader records and the orec
+/// engine's write-back slot.
 class TObjectBase {
  public:
   /// Clones `src` into a block of `pool` (nullptr → global allocation); the
@@ -145,7 +141,7 @@ class TObjectBase {
   TObjectBase(void* initial_version, CloneFn clone, DestroyFn destroy,
               std::uint32_t payload_size)
       : loc_(util::pool_new<Locator>(
-            nullptr, Locator{nullptr, nullptr, initial_version, nullptr, destroy, 0})),
+            nullptr, Locator{nullptr, nullptr, initial_version, nullptr, destroy})),
         clone_(clone),
         destroy_(destroy),
         payload_size_(payload_size) {}
@@ -180,9 +176,7 @@ class TObjectBase {
   }
 
  private:
-  friend class Runtime;
-  friend class Tx;
-  friend class DstmBackend;
+  friend class DstmEngine;
   friend class OrecEngine;
 
   /// Clone for acquisition: pooled when the payload fits a size class,

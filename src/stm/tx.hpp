@@ -32,7 +32,7 @@ struct alignas(kCacheLine) TxDesc {
   /// announcement and its status CAS. Readers load it only after observing
   /// status == kCommitted (the CAS's release publishes the relaxed store),
   /// so the value is final whenever it is consulted. Stays 0 for read-only
-  /// attempts and in eager-clock mode.
+  /// attempts and outside DSTM invisible-read mode.
   std::atomic<std::uint64_t> commit_stamp{0};
 
   /// Start of this attempt (steady-clock ns).

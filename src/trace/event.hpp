@@ -75,7 +75,7 @@ enum class EventKind : std::uint8_t {
 
   kClockBump,       // deferred-clock shared-line write (extension-path CAS
                     // advance; see DESIGN.md §11): a0 = trigger stamp the
-                    // clock was raised to cover. Absent in eager mode, where
+                    // clock was raised to cover. Not recorded for orec, where
                     // every write-commit bumps the line and recording each
                     // would double trace volume for no attribution value.
 

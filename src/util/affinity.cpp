@@ -9,14 +9,9 @@
 
 namespace wstm {
 
-unsigned hardware_cpus() noexcept {
-  const unsigned n = std::thread::hardware_concurrency();
-  return n == 0 ? 1 : n;
-}
-
 bool pin_current_thread(unsigned index) noexcept {
 #if defined(__linux__)
-  const unsigned cpus = hardware_cpus();
+  const unsigned cpus = std::thread::hardware_concurrency();
   if (cpus <= 1) return true;  // nothing to choose between
   cpu_set_t set;
   CPU_ZERO(&set);

@@ -8,10 +8,8 @@
 
 namespace wstm {
 
-/// Number of CPUs visible to this process.
-unsigned hardware_cpus() noexcept;
-
-/// Pin the calling thread to cpu `index % hardware_cpus()`.
+/// Pin the calling thread to cpu `index` modulo the CPUs visible to this
+/// process.
 /// Returns true on success; false is non-fatal.
 bool pin_current_thread(unsigned index) noexcept;
 

@@ -295,6 +295,9 @@ TEST(ArbitrationReal, ParkedLowPriorityClimbsLadderToIrrevocability) {
   constexpr long kBig = 1'000'000'000;
   std::atomic<bool> stop_short{false};
   std::atomic<long> short_total{0};
+  // Per-thread metrics are owner-written, so the long writer learns of the
+  // short writers' parks through this flag rather than total_metrics().
+  std::atomic<bool> short_parked{false};
   std::vector<std::thread> shorts;
   for (unsigned t = 0; t < kShortThreads; ++t) {
     shorts.emplace_back([&] {
@@ -302,6 +305,7 @@ TEST(ArbitrationReal, ParkedLowPriorityClimbsLadderToIrrevocability) {
       while (!stop_short.load(std::memory_order_acquire)) {
         rt.atomically(tc, [&](stm::Tx& tx) { counter.open_write(tx)->value += 1; });
         short_total.fetch_add(1, std::memory_order_acq_rel);
+        if (tc.metrics().parks > 0) short_parked.store(true, std::memory_order_relaxed);
       }
       });
   }
@@ -322,7 +326,7 @@ TEST(ArbitrationReal, ParkedLowPriorityClimbsLadderToIrrevocability) {
       });
       ++long_commits;
       if (long_commits >= kMinLongCommits && tc.metrics().serial_fallbacks > 0 &&
-          rt.total_metrics().parks > 0) {
+          (tc.metrics().parks > 0 || short_parked.load(std::memory_order_relaxed))) {
         break;
       }
     }

@@ -121,7 +121,6 @@ TEST(Schedule, TextRoundTrip) {
   s.config.cm = "Adaptive-Dynamic";
   s.config.threads = 4;
   s.config.visible_reads = false;
-  s.config.snapshot_ext = false;  // non-default: must survive the round-trip
   s.config.op_mix = "insert-heavy";
   s.config.seed = 0xabcdef;
   s.config.strategy = "pct";
@@ -141,7 +140,6 @@ TEST(Schedule, TextRoundTrip) {
   EXPECT_EQ(back.config.cm, s.config.cm);
   EXPECT_EQ(back.config.threads, s.config.threads);
   EXPECT_EQ(back.config.visible_reads, s.config.visible_reads);
-  EXPECT_EQ(back.config.snapshot_ext, s.config.snapshot_ext);
   EXPECT_EQ(back.config.op_mix, s.config.op_mix);
   EXPECT_EQ(back.config.seed, s.config.seed);
   EXPECT_EQ(back.config.strategy, s.config.strategy);
@@ -165,7 +163,6 @@ TEST(Schedule, OldFilesWithoutNewKeysStillLoad) {
   const Schedule s = check::schedule_from_text(old_text);
   EXPECT_DOUBLE_EQ(s.config.faults.p_stall_any, 0.0);
   EXPECT_FALSE(s.config.liveness);
-  EXPECT_TRUE(s.config.snapshot_ext);  // pre-snapshot_ext files get the default
   EXPECT_EQ(s.decisions.size(), 1u);
 }
 
@@ -277,9 +274,18 @@ TEST(CheckerSeededBug, FindsSkipReaderAbortWithinBudget) {
   c.key_range = 16;
   c.cm = "Polka";
   c.bug = "skip-reader-abort";  // visible-read mode atomicity bug
+  // No retirement: with removes, two stale commits can retire the same node
+  // and crash the replay or shrink instead of failing the oracle.
+  c.op_mix = "insert-heavy";
   Checker checker(c);
   const auto er = checker.explore(/*num_schedules=*/40);
-  EXPECT_GT(er.violations, 0u) << "skip-reader-abort not found in 40 schedules";
+  ASSERT_GT(er.violations, 0u) << "skip-reader-abort not found in 40 schedules";
+
+  const RunResult again = checker.replay(er.first_violation.schedule);
+  EXPECT_TRUE(again.violation);
+  const auto sr = checker.shrink(er.first_violation.schedule, /*max_replays=*/60);
+  EXPECT_TRUE(sr.still_fails);
+  EXPECT_TRUE(checker.replay(sr.schedule).violation) << "shrunk schedule lost the failure";
 }
 
 TEST(CheckerSeededBug, CleanProtocolSurvivesSameBudget) {
@@ -292,6 +298,51 @@ TEST(CheckerSeededBug, CleanProtocolSurvivesSameBudget) {
   const auto er = checker.explore(/*num_schedules=*/10, /*stop_on_violation=*/true);
   EXPECT_EQ(er.violations, 0u) << er.first_violation.diagnosis;
 }
+
+// ---- decision parity with recorded schedules -------------------------------
+
+// Shrunk failing schedules of the six CI seeded bugs, recorded before the
+// ablation-only STM paths were removed (tests/data/). They still carry the
+// retired snapshot_ext/deferred_clock keys, which the parser ignores.
+// Replaying must reproduce the recorded verdict, step count, commits, aborts
+// and divergences exactly, so any change to an engine's schedule-point
+// stream or to a CM decision shows up here.
+struct RecordedRun {
+  const char* name;
+  const char* file;
+  std::uint64_t steps;
+  std::uint64_t commits;
+  std::uint64_t aborts;
+  std::uint64_t divergences;
+};
+
+// The default printer dumps the struct's bytes, pointers included, into the
+// listed test name; printing the file keeps the name stable across builds.
+void PrintTo(const RecordedRun& rec, std::ostream* os) { *os << rec.file; }
+
+class CheckerParity : public ::testing::TestWithParam<RecordedRun> {};
+
+TEST_P(CheckerParity, RecordedScheduleReplaysIdentically) {
+  const RecordedRun& rec = GetParam();
+  const Schedule s = check::load_schedule(std::string(WSTM_TEST_DATA_DIR "/") + rec.file);
+  const RunResult r = Checker(s.config).replay(s);
+  EXPECT_TRUE(r.violation);
+  EXPECT_EQ(r.steps, rec.steps);
+  EXPECT_EQ(r.metrics.commits, rec.commits);
+  EXPECT_EQ(r.metrics.aborts, rec.aborts);
+  EXPECT_EQ(r.divergences, rec.divergences);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeededBugs, CheckerParity,
+    ::testing::Values(RecordedRun{"BlindCommit", "blind-commit.sched", 928, 72, 2, 0},
+                      RecordedRun{"SkipReaderAbort", "skip-reader-abort.sched", 957, 72, 0, 1},
+                      RecordedRun{"SkipCasRecheck", "skip-cas-recheck.sched", 1463, 72, 1, 0},
+                      RecordedRun{"StampNoPending", "stamp-no-pending.sched", 2758, 72, 103, 0},
+                      RecordedRun{"SkipReadValidation", "skip-read-validation.sched", 857, 72,
+                                  1, 1},
+                      RecordedRun{"ParkLostWakeup", "park-lost-wakeup.sched", 911, 72, 1, 1}),
+    [](const ::testing::TestParamInfo<RecordedRun>& info) { return info.param.name; });
 
 // ---- stall-anywhere fault + liveness layer under exploration ---------------
 

@@ -22,19 +22,16 @@
 namespace wstm::stm {
 namespace {
 
-std::unique_ptr<Runtime> make_runtime(bool deferred, unsigned threads = 4,
-                                      const std::string& cm = "Polka") {
+std::unique_ptr<Runtime> make_runtime(unsigned threads, const std::string& cm = "Polka") {
   cm::Params params;
   params.threads = threads;
   RuntimeConfig cfg;
   cfg.visible_reads = false;
-  cfg.snapshot_ext = true;
-  cfg.deferred_clock = deferred;
   return std::make_unique<Runtime>(cm::make_manager(cm, params), cfg);
 }
 
 TEST(DeferredClock, SingleThreadBasics) {
-  auto rt = make_runtime(true, 1);
+  auto rt = make_runtime(1);
   ThreadCtx& tc = rt->attach_thread();
   TObject<long> obj(10);
   EXPECT_EQ(rt->atomically(tc, [&](Tx& tx) { return *obj.open_read(tx); }), 10);
@@ -51,11 +48,10 @@ TEST(DeferredClock, SingleThreadBasics) {
   EXPECT_EQ(m.deferred_stamps, 2u);  // one per write-commit
 }
 
-// The ≥5x acceptance criterion's mechanism, in-process: under the
-// BM_IntsetWriteHeavy-class workload (write-heavy, low-conflict — a
-// hashtable with a wide key range) the shared clock line is written far
-// less often than under the eager protocol, which pays one bump per
-// write-commit (clock_bumps == write-commit count). Two effects compound:
+// The shared-line reduction, in-process: under the BM_IntsetWriteHeavy-
+// class workload (write-heavy, low-conflict — a hashtable with a wide key
+// range) the shared clock line is written far less often than once per
+// write-commit. Two effects compound:
 // concurrent writers observing the same clock stamp the same generation
 // (one bump covers all of them), and begin_attempt re-establishes the
 // snapshot, so opens of anything committed before the attempt began
@@ -64,7 +60,7 @@ TEST(DeferredClock, BumpsAreFarRarerThanStamps) {
   constexpr unsigned kThreads = 8;
   constexpr int kOpsPerThread = 3000;
   constexpr long kKeyRange = 1024;
-  auto rt = make_runtime(true, kThreads);
+  auto rt = make_runtime(kThreads);
   auto set_ptr = structs::make_intset("hashtable");
   structs::TxIntSet& set = *set_ptr;
   {
@@ -90,35 +86,8 @@ TEST(DeferredClock, BumpsAreFarRarerThanStamps) {
   const ThreadMetrics m = rt->total_metrics();
   // 24k update ops: thousands of write-commits stamped...
   EXPECT_GT(m.deferred_stamps, 10000u);
-  // ...with at most one shared-line write per stamped generation. Eager
-  // mode would have written the line deferred_stamps times.
+  // ...with at most one shared-line write per stamped generation.
   EXPECT_LT(m.clock_bumps * 5, m.deferred_stamps);
-}
-
-// Deferred mode must commit the same logical history as eager mode when run
-// without interference: a single-thread op stream ends in the same set.
-TEST(DeferredClock, MatchesEagerResultSingleThreaded) {
-  long expected = 0;
-  for (const bool deferred : {false, true}) {
-    auto rt = make_runtime(deferred, 1);
-    ThreadCtx& tc = rt->attach_thread();
-    auto set_ptr = structs::make_intset("list");
-    structs::TxIntSet& set = *set_ptr;
-    Xoshiro256 rng(7);
-    long checksum = 0;
-    for (int i = 0; i < 400; ++i) {
-      const long k = static_cast<long>(rng.below(24));
-      const bool r = rt->atomically(tc, [&](Tx& tx) {
-        return (i % 3 == 0) ? set.remove(tx, k) : set.insert(tx, k);
-      });
-      checksum = checksum * 31 + (r ? k + 1 : 0);
-    }
-    if (!deferred) {
-      expected = checksum;
-    } else {
-      EXPECT_EQ(checksum, expected);
-    }
-  }
 }
 
 // ---- deterministic-checker coverage ----------------------------------------
@@ -131,15 +100,13 @@ check::CheckConfig deferred_check_config(const std::string& cm) {
   c.window_n = 6;
   c.cm = cm;
   c.visible_reads = false;
-  c.snapshot_ext = true;
-  c.deferred_clock = true;
   c.seed = 12345;
   return c;
 }
 
-// Acceptance: the checker passes the full six-variant exploration with
-// snapshot extension AND the deferred clock on — the ghost opacity oracle
-// stays silent across random schedules for every window variant.
+// The checker passes the full six-variant exploration on invisible reads —
+// the ghost opacity oracle stays silent across random schedules for every
+// window variant.
 TEST(DeferredClock, SixVariantExploreIsClean) {
   for (const char* cm :
        {"Online", "Online-Dynamic", "Adaptive", "Adaptive-Dynamic", "Adaptive-Improved",
@@ -148,25 +115,6 @@ TEST(DeferredClock, SixVariantExploreIsClean) {
     const check::ExploreResult er = check::Checker(c).explore(10);
     EXPECT_EQ(er.violations, 0u) << cm << ": " << er.first_violation.diagnosis;
   }
-}
-
-// A schedule's config round-trips through the text format, including the new
-// deferred_clock key; files without the key replay as eager (the behavior
-// pre-deferred runs actually had — their decision streams lack the extra
-// commit point).
-TEST(DeferredClock, ScheduleSerializationRoundTripsAndBackCompats) {
-  check::CheckConfig c = deferred_check_config("Adaptive");
-  const check::RunResult r = check::Checker(c).run_once(1);
-  check::Schedule restored = check::schedule_from_text(check::to_text(r.schedule));
-  EXPECT_TRUE(restored.config.deferred_clock);
-  EXPECT_EQ(restored.decisions, r.schedule.decisions);
-
-  std::string text = check::to_text(r.schedule);
-  const std::string key = "deferred_clock 1\n";
-  const auto pos = text.find(key);
-  ASSERT_NE(pos, std::string::npos);
-  text.erase(pos, key.size());
-  EXPECT_FALSE(check::schedule_from_text(text).config.deferred_clock);
 }
 
 // Seeded-bug acceptance: dropping the pending-set membership check from the

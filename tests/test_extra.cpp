@@ -1,6 +1,6 @@
 // Additional cross-cutting coverage: read/write upgrades, wait metrics,
-// window bookkeeping corner cases, harness matrix output, preemption
-// emulation plumbing, and simulator option handling.
+// window bookkeeping corner cases, harness matrix output, and simulator
+// option handling.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -78,19 +78,6 @@ TEST(WindowOptionsRespected, ExplicitInitialCOverridesDefault) {
   opt.initial_c = 33.0;
   window::WindowCM cm("Online", opt);
   EXPECT_DOUBLE_EQ(cm.options().initial_c, 33.0);
-}
-
-TEST(HarnessPreempt, ExplicitPermilleRunsCleanly) {
-  for (const std::int32_t permille : {0, 200}) {
-    harness::RunConfig cfg;
-    cfg.threads = 2;
-    cfg.duration_ms = 60;
-    cfg.preempt_permille = permille;
-    auto w = harness::make_workload("list", 100, 64);
-    const harness::RunResult r = harness::run_workload("Greedy", cm::Params{}, *w, cfg);
-    EXPECT_TRUE(r.valid) << "permille=" << permille << ": " << r.why;
-    EXPECT_GT(r.totals.commits, 0u);
-  }
 }
 
 TEST(HarnessMatrix, PrintsOneTablePerBenchmark) {

@@ -18,15 +18,11 @@ namespace wstm::stm {
 namespace {
 
 std::unique_ptr<Runtime> make_invisible_runtime(const std::string& cm = "Polka",
-                                                unsigned threads = 4,
-                                                std::uint32_t preempt = 0,
-                                                bool snapshot_ext = true) {
+                                                unsigned threads = 4) {
   cm::Params params;
   params.threads = threads;
   RuntimeConfig cfg;
   cfg.visible_reads = false;
-  cfg.preempt_yield_permille = preempt;
-  cfg.snapshot_ext = snapshot_ext;
   return std::make_unique<Runtime>(cm::make_manager(cm, params), cfg);
 }
 
@@ -93,7 +89,7 @@ TEST(InvisibleReads, StaleReadIsDetectedAtNextOpen) {
 }
 
 TEST(InvisibleReads, ReadersSeeConsistentPairsUnderChurn) {
-  auto rt = make_invisible_runtime("Polka", 3, /*preempt=*/25);
+  auto rt = make_invisible_runtime("Polka", 3);
   TObject<long> x(0);
   TObject<long> y(0);
   std::atomic<bool> stop{false};
@@ -150,7 +146,7 @@ TEST(InvisibleReads, IntSetMatchesOracle) {
 TEST(InvisibleReads, ConcurrentCounterHasNoLostUpdates) {
   constexpr unsigned kThreads = 4;
   constexpr int kIncrements = 300;
-  auto rt = make_invisible_runtime("Greedy", kThreads, /*preempt=*/25);
+  auto rt = make_invisible_runtime("Greedy", kThreads);
   TObject<long> counter(0);
   std::vector<std::thread> workers;
   for (unsigned t = 0; t < kThreads; ++t) {
@@ -167,38 +163,28 @@ TEST(InvisibleReads, ConcurrentCounterHasNoLostUpdates) {
 
 // ---- commit-clock snapshot extension ---------------------------------------
 
-// The O(R^2) pathology fix: a transaction reading N distinct objects must not
-// run a full read-set validation on every open. With the fast path the clock
-// never moves (no concurrent writer), so every open skips its pass; with it
-// off, every open pays one (the original validate-on-every-open behavior).
+// No O(R^2) validation: a transaction reading N distinct objects must not
+// run a full read-set validation on every open. Without a concurrent writer
+// no fresh commit stamp ever trips the snapshot, so every open skips its
+// pass.
 TEST(InvisibleSnapshot, ValidationCostIsAmortizedO1) {
   constexpr int kReads = 64;
-  for (const bool ext : {true, false}) {
-    auto rt = make_invisible_runtime("Polka", 1, /*preempt=*/0, ext);
-    ThreadCtx& tc = rt->attach_thread();
-    std::vector<std::unique_ptr<TObject<long>>> objs;
-    for (int i = 0; i < kReads; ++i) objs.push_back(std::make_unique<TObject<long>>(i));
-    long sum = 0;
-    rt->atomically(tc, [&](Tx& tx) {
-      sum = 0;
-      for (const auto& o : objs) sum += *o->open_read(tx);
-    });
-    EXPECT_EQ(sum, kReads * (kReads - 1) / 2);
-    const ThreadMetrics m = rt->total_metrics();
-    if (ext) {
-      // kReads opens + the commit-point check, all skipped: the clock never
-      // advanced past the begin snapshot. O(distinct objects) total work.
-      EXPECT_EQ(m.validations, 0u);
-      EXPECT_EQ(m.validated_reads, 0u);
-      EXPECT_EQ(m.validations_skipped, static_cast<std::uint64_t>(kReads) + 1);
-    } else {
-      // One full pass per open + one at commit; entries validated grow
-      // quadratically with the read set: the pathology this PR fixes.
-      EXPECT_EQ(m.validations, static_cast<std::uint64_t>(kReads) + 1);
-      EXPECT_GE(m.validated_reads,
-                static_cast<std::uint64_t>(kReads) * (kReads - 1) / 2);
-    }
-  }
+  auto rt = make_invisible_runtime("Polka", 1);
+  ThreadCtx& tc = rt->attach_thread();
+  std::vector<std::unique_ptr<TObject<long>>> objs;
+  for (int i = 0; i < kReads; ++i) objs.push_back(std::make_unique<TObject<long>>(i));
+  long sum = 0;
+  rt->atomically(tc, [&](Tx& tx) {
+    sum = 0;
+    for (const auto& o : objs) sum += *o->open_read(tx);
+  });
+  EXPECT_EQ(sum, kReads * (kReads - 1) / 2);
+  const ThreadMetrics m = rt->total_metrics();
+  // kReads opens + the commit-point check, all skipped: every object is
+  // still on its initial locator. O(distinct objects) total work.
+  EXPECT_EQ(m.validations, 0u);
+  EXPECT_EQ(m.validated_reads, 0u);
+  EXPECT_EQ(m.validations_skipped, static_cast<std::uint64_t>(kReads) + 1);
 }
 
 // Re-reading an object must not append a second read-set entry (that would
@@ -206,24 +192,18 @@ TEST(InvisibleSnapshot, ValidationCostIsAmortizedO1) {
 // recorded at first read.
 TEST(InvisibleSnapshot, DuplicateReadsAreDeduped) {
   constexpr int kRereads = 16;
-  for (const bool ext : {true, false}) {
-    auto rt = make_invisible_runtime("Polka", 1, /*preempt=*/0, ext);
-    ThreadCtx& tc = rt->attach_thread();
-    TObject<long> obj(42);
-    rt->atomically(tc, [&](Tx& tx) {
-      const long* first = obj.open_read(tx);
-      for (int i = 1; i < kRereads; ++i) {
-        EXPECT_EQ(obj.open_read(tx), first);  // same committed version object
-      }
-    });
-    const ThreadMetrics m = rt->total_metrics();
-    EXPECT_EQ(m.dup_reads, static_cast<std::uint64_t>(kRereads) - 1);
-    if (!ext) {
-      // Every pass sees exactly one entry, never kRereads of them.
-      EXPECT_EQ(m.validated_reads, static_cast<std::uint64_t>(kRereads));
+  auto rt = make_invisible_runtime("Polka", 1);
+  ThreadCtx& tc = rt->attach_thread();
+  TObject<long> obj(42);
+  rt->atomically(tc, [&](Tx& tx) {
+    const long* first = obj.open_read(tx);
+    for (int i = 1; i < kRereads; ++i) {
+      EXPECT_EQ(obj.open_read(tx), first);  // same committed version object
     }
-    EXPECT_EQ(m.aborts, 0u);
-  }
+  });
+  const ThreadMetrics m = rt->total_metrics();
+  EXPECT_EQ(m.dup_reads, static_cast<std::uint64_t>(kRereads) - 1);
+  EXPECT_EQ(m.aborts, 0u);
 }
 
 // A remote write-commit advances the clock, so the reader's next open runs
@@ -279,40 +259,6 @@ check::CheckConfig invisible_check_config(const std::string& cm) {
   return c;
 }
 
-// The fast path must be behavior-neutral: with the same policy seed, ext
-// on and ext off take the same scheduling decisions and commit the same
-// history, across all six window variants. (A skipped pass would have
-// succeeded anyway — invariant I in DESIGN.md §5 — so no branch differs.)
-TEST(InvisibleChecker, SnapshotExtensionIsBehaviorNeutral) {
-  for (const char* cm :
-       {"Online", "Online-Dynamic", "Adaptive", "Adaptive-Dynamic", "Adaptive-Improved",
-        "Adaptive-Improved-Dynamic"}) {
-    check::CheckConfig on = invisible_check_config(cm);
-    on.snapshot_ext = true;
-    // Pin the eager clock: neutrality (identical decisions/commits/aborts)
-    // only holds when ext changes nothing but skip-vs-validate. The deferred
-    // clock adds a commit schedule point and per-open fast accepts, so its
-    // histories legitimately differ; it gets its own tests below.
-    on.deferred_clock = false;
-    check::CheckConfig off = on;
-    off.snapshot_ext = false;
-    for (const std::uint64_t policy_seed : {1u, 2u, 3u}) {
-      const check::RunResult a = check::Checker(on).run_once(policy_seed);
-      const check::RunResult b = check::Checker(off).run_once(policy_seed);
-      EXPECT_FALSE(a.violation) << cm << ": " << a.diagnosis;
-      EXPECT_FALSE(b.violation) << cm << ": " << b.diagnosis;
-      EXPECT_EQ(a.schedule.decisions, b.schedule.decisions) << cm;
-      EXPECT_EQ(a.metrics.commits, b.metrics.commits) << cm;
-      EXPECT_EQ(a.metrics.aborts, b.metrics.aborts) << cm;
-      // The runs are identical except that ext replaced full passes with
-      // skip-checks; the off run must never validate less.
-      EXPECT_GT(a.metrics.validations_skipped, 0u) << cm;
-      EXPECT_EQ(b.metrics.validations_skipped, 0u) << cm;
-      EXPECT_GE(b.metrics.validated_reads, a.metrics.validated_reads) << cm;
-    }
-  }
-}
-
 // The validate->recheck window in open_read_invisible has a schedule point,
 // so the checker can drive a writer's commit exactly between a successful
 // validation and the locator recheck. With the recheck seeded out
@@ -325,7 +271,6 @@ TEST(InvisibleChecker, CommitInValidateRecheckWindowIsCaught) {
   // budget take minutes in invisible mode (same reason CheckerFaults uses
   // it). The seeded bug is manager-independent, so nothing is lost.
   check::CheckConfig c = invisible_check_config("Aggressive");
-  c.snapshot_ext = true;
   c.bug = "skip-cas-recheck";
   check::Checker buggy(c);
   const check::ExploreResult er = buggy.explore(40);

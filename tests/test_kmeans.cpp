@@ -64,9 +64,7 @@ TEST(KMeans, ConcurrentAssignmentsAreConserved) {
   KMeansWorkload w(cfg);
   cm::Params params;
   params.threads = kThreads;
-  stm::RuntimeConfig rt_cfg;
-  rt_cfg.preempt_yield_permille = 50;  // force interleaving on small hosts
-  stm::Runtime rt(cm::make_manager("Online-Dynamic", params), rt_cfg);
+  stm::Runtime rt(cm::make_manager("Online-Dynamic", params));
   {
     stm::ThreadCtx& tc = rt.attach_thread();
     w.populate(rt, tc);

@@ -179,7 +179,7 @@ TEST_P(OrecWorkloads, ConcurrentChurnValidates) {
     harness::RunConfig run;
     run.threads = 4;
     run.duration_ms = 150;
-    run.backend = "orec";
+    run.runtime.backend = BackendKind::kOrec;
     run.seed = 7 + table_bits;
     // RunConfig has no orec_table_bits knob (the default is right for real
     // runs); drive the collision case through the runtime directly instead.

@@ -365,9 +365,9 @@ TEST(Chaos, InjectedFaultsDoNotBreakProgressOrSafety) {
   harness::RunConfig run;
   run.threads = 4;
   run.duration_ms = 150;
-  run.liveness.enabled = true;
-  run.chaos = resilience::default_chaos(4.0);  // crank it: this is a smoke test
-  run.chaos.ebr_pressure_every = 8;
+  run.runtime.liveness.enabled = true;
+  run.runtime.chaos = resilience::default_chaos(4.0);  // crank it: this is a smoke test
+  run.runtime.chaos.ebr_pressure_every = 8;
 
   auto workload = harness::make_workload("list", 100, 64);
   cm::Params params;

@@ -178,7 +178,14 @@ TEST(ServeQueue, MpmcStressKeepsEveryItemExactlyOnce) {
   for (unsigned c = 0; c < kConsumers; ++c) {
     threads.emplace_back([&] {
       TxRequest out;
-      while (q.pop_wait(&out, std::int64_t{2'000'000})) {
+      for (;;) {
+        if (!q.pop_wait(&out, std::int64_t{2'000'000})) {
+          // A timeout is not end of stream: under load every consumer can
+          // time out while producers still wait for space. Stop only once
+          // the queue is closed and a pop finds it empty.
+          if (!q.closed()) continue;
+          if (!q.try_pop(&out)) break;
+        }
         popped_sum.fetch_add(out.key, std::memory_order_relaxed);
         popped_count.fetch_add(1, std::memory_order_relaxed);
       }
@@ -312,6 +319,8 @@ TEST(ServePolicy, WindowFrameRotatesWithTheFrameClock) {
 struct CounterCtx {
   stm::TObject<long>* cell = nullptr;
   std::atomic<std::uint64_t> done_calls{0};
+  /// Gate for count_done_then_hold: done hooks wait until it reads true.
+  std::atomic<bool>* hold = nullptr;
 };
 
 std::uint64_t increment_fn(Tx& tx, void* ctx, std::uint64_t) {
@@ -323,6 +332,12 @@ std::uint64_t increment_fn(Tx& tx, void* ctx, std::uint64_t) {
 
 void count_done(void* ctx, std::uint64_t, std::uint64_t) {
   static_cast<CounterCtx*>(ctx)->done_calls.fetch_add(1, std::memory_order_relaxed);
+}
+
+void count_done_then_hold(void* ctx, std::uint64_t, std::uint64_t) {
+  auto* c = static_cast<CounterCtx*>(ctx);
+  c->done_calls.fetch_add(1, std::memory_order_acq_rel);
+  while (!c->hold->load(std::memory_order_acquire)) std::this_thread::yield();
 }
 
 TEST(ServeServer, GracefulStopDrainsEverythingAccepted) {
@@ -404,29 +419,39 @@ TEST(ServeServer, RuntimeShutdownShedsBacklogAsCancelled) {
   cfg.n_workers = 2;
   cfg.queue_capacity = 4096;
   TxServer server(rt, cfg);
-  // Queue a large backlog before any worker runs.
+  // Queue a large backlog before any worker runs; round-robin placement
+  // gives each worker's queue half of it.
   constexpr std::uint64_t kRequests = 3000;
   for (std::uint64_t i = 0; i < kRequests; ++i) {
     TxRequest r;
     r.fn = increment_fn;
-    r.done = count_done;
+    r.done = count_done_then_hold;
     r.ctx = &ctx;
     ASSERT_EQ(server.submit(r), SubmitResult::kAccepted);
   }
 
+  // Each worker commits its first request and then waits inside that
+  // request's done hook (which runs after atomically() returned), so the
+  // shutdown below lands with both workers idle and nothing else committed.
+  std::atomic<bool> released{false};
+  ctx.hold = &released;
   server.start();
+  while (ctx.done_calls.load(std::memory_order_acquire) < cfg.n_workers) {
+    std::this_thread::yield();
+  }
   rt.shutdown();  // atomically() now throws RuntimeStoppedError
+  released.store(true, std::memory_order_release);
   server.stop();  // must return: workers shed the backlog instead of hanging
 
   const stm::ThreadMetrics m = rt.total_metrics();
-  // Every dequeued request either committed (before shutdown won the race)
-  // or was cancelled — nothing is silently lost and done fires only for
-  // the commits.
-  EXPECT_EQ(m.serve_completed + m.serve_cancelled, m.serve_dequeued);
-  EXPECT_GT(m.serve_cancelled, 0u);
-  EXPECT_EQ(ctx.done_calls.load(), m.serve_completed);
-  EXPECT_EQ(cell.peek() != nullptr ? static_cast<std::uint64_t>(*cell.peek()) : 0u,
-            m.serve_completed);
+  // Exactly the two held requests committed; every other dequeued request
+  // was cancelled — nothing is silently lost and done fires only for the
+  // commits.
+  EXPECT_EQ(m.serve_dequeued, kRequests);
+  EXPECT_EQ(m.serve_completed, 2u);
+  EXPECT_EQ(m.serve_cancelled, kRequests - 2);
+  EXPECT_EQ(ctx.done_calls.load(), 2u);
+  EXPECT_EQ(cell.peek() != nullptr ? *cell.peek() : -1L, 2L);
   // And the server refuses new work once the runtime is stopping.
   TxRequest late;
   late.fn = increment_fn;

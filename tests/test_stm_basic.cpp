@@ -202,21 +202,6 @@ TEST(StmBasic, DetachThreadTwiceIsSafe) {
   // Runtime destruction must not double-detach either context.
 }
 
-TEST(StmBasic, PoolingOffMatchesSemantics) {
-  RuntimeConfig cfg;
-  cfg.pooling = false;
-  cm::Params params;
-  params.threads = 4;
-  Runtime rt(cm::make_manager("Aggressive", params), cfg);
-  ThreadCtx& tc = rt.attach_thread();
-  TObject<Box> obj(Box{3});
-  for (int i = 0; i < 100; ++i) {
-    rt.atomically(tc, [&](Tx& tx) { obj.open_write(tx)->value += 1; });
-  }
-  EXPECT_EQ(obj.peek()->value, 103);
-  EXPECT_EQ(rt.total_metrics().commits, 100u);
-}
-
 TEST(StmBasic, SummarizeComputesDerivedMetrics) {
   ThreadMetrics t;
   t.commits = 100;

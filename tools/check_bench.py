@@ -4,27 +4,25 @@
 Modes:
 
 * --mode alloc (default, BENCH_micro.json): the pooled hot path must be
-  allocation-free in steady state. `BM_AllocPressureWriteTx/1` (pooling on)
-  reports global-allocator calls per transaction attempt via the interposed
+  allocation-free in steady state. `BM_AllocPressureWriteTx` reports
+  global-allocator calls per transaction attempt via the interposed
   operator new; anything above the threshold means a TxDesc/Locator/clone/
   EBR-chunk slipped back onto the global allocator.
 
-* --mode readval (BENCH_readval.json): the invisible-read snapshot-extension
-  fast path must keep validation amortized O(1) per open. The
-  `BM_ReadSetScaling/<R>/1` rows (extension on) report read-set entries
-  validated per open; anything above the threshold means opens regressed
-  toward the O(R) validate-on-every-open pathology.
+* --mode readval (BENCH_readval.json): invisible-read validation must stay
+  amortized O(1) per open. The `BM_ReadSetScaling/<R>` rows report read-set
+  entries validated per open; anything above the threshold means opens
+  regressed toward revalidating the whole read set on every open.
 
 * --mode scaling (BENCH_scaling.json, from bench/fig_scaling_matrix --json):
   the shared commit-clock line must actually go quiet under the deferred
-  protocol. Always gated, per row: validation passed and attempt
-  conservation (attempts == commits + aborts). The contention-ratio clauses
-  — at M=8 the deferred row's clock_bumps stay at or below
-  --max-bump-ratio x deferred_stamps (the eager protocol's shared-line
-  write count), and at M in {2,4} deferred throughput is at least
-  --min-deferred-throughput-ratio x the eager A/B row's — are additionally
-  gated only when context.host_cpus >= 16; an oversubscribed host
-  serializes the writers and measures the OS scheduler, not the clock.
+  protocol. Always gated, per row: validation passed, attempt conservation
+  (attempts == commits + aborts), and write-commits stamped. The
+  contention-ratio clause — at M=8 clock_bumps stay at or below
+  --max-bump-ratio x deferred_stamps (the write-commit count, i.e. what a
+  bump per commit would cost) — is additionally gated only when
+  context.host_cpus >= 16; an oversubscribed host serializes the writers
+  and measures the OS scheduler, not the clock.
 
 * --mode backend (BENCH_backend.json, from bench/fig_backend --json): the
   eager-vs-lazy engine sweep. Always gated, per row: validation passed,
@@ -67,8 +65,7 @@ Usage: check_bench.py BENCH_micro.json [--max-allocs-per-attempt 0.5]
            [--max-validations-per-read 1.05]
        check_bench.py BENCH_serve.json --mode serve \
            [--min-throughput-ratio 1.2] [--max-p99-ratio 0.7]
-       check_bench.py BENCH_scaling.json --mode scaling \
-           [--max-bump-ratio 0.2] [--min-deferred-throughput-ratio 0.9]
+       check_bench.py BENCH_scaling.json --mode scaling [--max-bump-ratio 0.2]
        check_bench.py BENCH_backend.json --mode backend \
            [--min-orec-attempt-ratio 1.5]
        check_bench.py BENCH_arbitration.json --mode arbitration \
@@ -270,7 +267,7 @@ def load_scaling_report(json_path: str):
     return report
 
 
-def gate_scaling(report, max_bump_ratio: float, min_deferred_throughput_ratio: float) -> int:
+def gate_scaling(report, max_bump_ratio: float) -> int:
     rows = report["scaling"]
     if not rows:
         print("check_bench: scaling report has no rows", file=sys.stderr)
@@ -282,7 +279,7 @@ def gate_scaling(report, max_bump_ratio: float, min_deferred_throughput_ratio: f
     # Structural gates, always enforced: every row validated, and attempts
     # conserve exactly into commits + aborts.
     for r in rows:
-        name = f"M={r.get('threads', '?')}/{r.get('clock', '?')}"
+        name = f"M={r.get('threads', '?')}"
         if not r.get("valid", False):
             print(f"check_bench: {name}: workload validation FAILED", file=sys.stderr)
             failed = True
@@ -297,56 +294,34 @@ def gate_scaling(report, max_bump_ratio: float, min_deferred_throughput_ratio: f
             failed = True
         else:
             print(f"check_bench: {name}: conserved {attempts} attempts, valid ok")
-        # Deferred rows must actually stamp; eager rows must not.
-        stamps = r.get("deferred_stamps", 0)
-        if r.get("clock") == "deferred" and r.get("commits", 0) > 0 and stamps == 0:
+        # Write-commits must actually stamp (deferred clock active).
+        if r.get("commits", 0) > 0 and r.get("deferred_stamps", 0) == 0:
             print(
-                f"check_bench: {name}: deferred row recorded no stamps "
+                f"check_bench: {name}: row recorded no stamps "
                 "(deferred clock not active?)",
                 file=sys.stderr,
             )
             failed = True
-        if r.get("clock") == "eager" and stamps != 0:
-            print(
-                f"check_bench: {name}: eager row recorded deferred stamps",
-                file=sys.stderr,
-            )
-            failed = True
 
-    # Contention-ratio clauses: only meaningful with real concurrency.
+    # Contention-ratio clause: only meaningful with real concurrency.
     enforce = isinstance(host_cpus, int) and host_cpus >= 16
-    by_key = {(r.get("threads"), r.get("clock")): r for r in rows}
-    deferred8 = by_key.get((8, "deferred"))
-    if deferred8 is not None:
-        stamps = deferred8.get("deferred_stamps", 0)
-        bumps = deferred8.get("clock_bumps", 0)
+    row8 = next((r for r in rows if r.get("threads") == 8), None)
+    if row8 is not None:
+        stamps = row8.get("deferred_stamps", 0)
+        bumps = row8.get("clock_bumps", 0)
         ratio = bumps / stamps if stamps > 0 else float("inf")
         ok = ratio <= max_bump_ratio
         verdict = "ok" if ok else ("FAIL" if enforce else "miss (not gated)")
         print(
-            f"check_bench: M=8 deferred shared-line writes: "
+            f"check_bench: M=8 shared-line writes: "
             f"clock_bumps/deferred_stamps={ratio:.3f} "
             f"(need <= {max_bump_ratio}) {verdict}"
         )
         if not ok and enforce:
             failed = True
-    for m in (2, 4):
-        d = by_key.get((m, "deferred"))
-        e = by_key.get((m, "eager"))
-        if d is None or e is None or e.get("throughput_per_s", 0) <= 0:
-            continue
-        ratio = d.get("throughput_per_s", 0) / e["throughput_per_s"]
-        ok = ratio >= min_deferred_throughput_ratio
-        verdict = "ok" if ok else ("FAIL" if enforce else "miss (not gated)")
-        print(
-            f"check_bench: M={m} deferred vs eager throughput: x{ratio:.3f} "
-            f"(need >= {min_deferred_throughput_ratio}) {verdict}"
-        )
-        if not ok and enforce:
-            failed = True
     if not enforce:
         print(
-            f"check_bench: contention-ratio clauses informational only "
+            f"check_bench: contention-ratio clause informational only "
             f"(host_cpus={host_cpus} < 16)"
         )
     return 1 if failed else 0
@@ -603,7 +578,6 @@ def main() -> int:
     parser.add_argument("--min-throughput-ratio", type=float, default=1.2)
     parser.add_argument("--max-p99-ratio", type=float, default=0.7)
     parser.add_argument("--max-bump-ratio", type=float, default=0.2)
-    parser.add_argument("--min-deferred-throughput-ratio", type=float, default=0.9)
     parser.add_argument("--min-orec-attempt-ratio", type=float, default=1.5)
     parser.add_argument("--max-wait-nivcsw-ratio", type=float, default=0.9)
     parser.add_argument("--max-wait-cpu-ratio", type=float, default=0.95)
@@ -637,9 +611,7 @@ def main() -> int:
         report = load_scaling_report(args.json_path)
         if report is None:
             return 1
-        return gate_scaling(
-            report, args.max_bump_ratio, args.min_deferred_throughput_ratio
-        )
+        return gate_scaling(report, args.max_bump_ratio)
 
     report = load_report(args.json_path)
     if report is None:
@@ -648,21 +620,19 @@ def main() -> int:
     if args.mode == "alloc":
         return gate(
             report,
-            "BM_AllocPressureWriteTx/1",
+            "BM_AllocPressureWriteTx",
             "allocs_per_attempt",
             args.max_allocs_per_attempt,
-            ("BM_AllocPressureWriteTx/0", "BM_IntsetWriteHeavy"),
+            ("BM_IntsetWriteHeavy",),
         )
-    # readval: only the /1 (extension-on) rows are gated; the /0 rows are the
-    # O(R) pathology shown for contrast.
     failed = 0
     for r in (8, 64, 256):
         failed |= gate(
             report,
-            f"BM_ReadSetScaling/{r}/1",
+            f"BM_ReadSetScaling/{r}",
             "validations_per_read",
             args.max_validations_per_read,
-            (f"BM_ReadSetScaling/{r}/0",),
+            (),
         )
     return failed
 

@@ -82,11 +82,11 @@ int main(int argc, char** argv) {
   run.threads = static_cast<std::uint32_t>(cli.get_int("threads"));
   run.duration_ms = cli.get_int("ms");
   run.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  run.backend = cli.get_string("backend");
-  run.arbitration = cli.get_string("arbitration");
-  run.liveness.enabled = true;
-  run.liveness.deadline_ns = cli.get_int("deadline-ms") * 1'000'000;
-  run.chaos = resilience::default_chaos(cli.get_double("intensity"));
+  run.runtime.backend = stm::parse_backend(cli.get_string("backend"));
+  run.runtime.arbitration = stm::parse_arbitration(cli.get_string("arbitration"));
+  run.runtime.liveness.enabled = true;
+  run.runtime.liveness.deadline_ns = cli.get_int("deadline-ms") * 1'000'000;
+  run.runtime.chaos = resilience::default_chaos(cli.get_double("intensity"));
 
   const auto benchmarks = cli.get_string_list("benchmarks");
   const auto cms = cli.get_string_list("cms");

@@ -45,14 +45,6 @@ void add_config_flags(wstm::Cli& cli, const CheckConfig& d) {
                d.arbitration);
   cli.add_flag("visible-reads", "visible (true) or invisible (false) read mode",
                d.visible_reads);
-  cli.add_flag("snapshot-ext",
-               "commit-clock snapshot-extension fast path for invisible reads "
-               "(off = validate the read set on every open)",
-               d.snapshot_ext);
-  cli.add_flag("deferred-clock",
-               "defer commit-clock bumps to snapshot-extension time (GV5-style; "
-               "only effective with --snapshot-ext and invisible reads)",
-               d.deferred_clock);
   cli.add_flag("op-mix", "op mix: default|insert-heavy", d.op_mix);
   cli.add_flag("update-percent", "percent of single-key ops that write",
                static_cast<std::int64_t>(d.update_percent));
@@ -95,8 +87,6 @@ CheckConfig config_from_cli(const wstm::Cli& cli) {
   c.backend = cli.get_string("backend");
   c.arbitration = cli.get_string("arbitration");
   c.visible_reads = cli.get_bool("visible-reads");
-  c.snapshot_ext = cli.get_bool("snapshot-ext");
-  c.deferred_clock = cli.get_bool("deferred-clock");
   c.op_mix = cli.get_string("op-mix");
   c.update_percent = static_cast<std::uint32_t>(cli.get_int("update-percent"));
   c.pair_percent = static_cast<std::uint32_t>(cli.get_int("pair-percent"));

@@ -104,8 +104,8 @@ int main(int argc, char** argv) {
   cfg.run.threads = static_cast<std::uint32_t>(cli.get_int("threads"));
   cfg.run.duration_ms = cli.get_int("ms");
   cfg.run.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  cfg.run.backend = cli.get_string("backend");
-  cfg.run.arbitration = cli.get_string("arbitration");
+  cfg.run.runtime.backend = stm::parse_backend(cli.get_string("backend"));
+  cfg.run.runtime.arbitration = stm::parse_arbitration(cli.get_string("arbitration"));
   cfg.serve.policy = cli.get_string("policy");
   cfg.serve.producers = static_cast<unsigned>(cli.get_int("producers"));
   cfg.serve.n_queues = static_cast<unsigned>(cli.get_int("queues"));
