@@ -3,6 +3,8 @@
 // retire, and structure operations at a fixed size. These quantify the
 // constant factors under every figure bench.
 #include <benchmark/benchmark.h>
+#include <dlfcn.h>
+#include <time.h>
 
 #include <cstdint>
 #include <cstdlib>
@@ -17,6 +19,7 @@
 #include "stm/runtime.hpp"
 #include "structs/intset.hpp"
 #include "util/rng.hpp"
+#include "util/timing.hpp"
 
 // ------------------------------------------------- allocation interposer --
 // Replacing the global operator new/delete lets the alloc-pressure benches
@@ -72,47 +75,99 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::f
 void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
+// ------------------------------------------------------ clock interposer --
+// Defining clock_gettime in the executable interposes every call to it,
+// libstdc++'s steady_clock::now() (hence now_ns()) included. CLOCK_MONOTONIC
+// reads are counted per thread, like t_alloc_count, so the fixed-cost rows
+// can report how often a transaction reads the clock; the call itself goes
+// on to the C library's (vDSO-backed) definition.
+thread_local std::uint64_t t_clock_reads = 0;
+
+extern "C" int clock_gettime(clockid_t id, struct timespec* ts) noexcept {
+  using Fn = int (*)(clockid_t, struct timespec*);
+  static const Fn next = reinterpret_cast<Fn>(dlsym(RTLD_NEXT, "clock_gettime"));
+  if (id == CLOCK_MONOTONIC) ++t_clock_reads;
+  return next(id, ts);
+}
+
 namespace {
 
 using namespace wstm;
 
 struct Fixture {
-  explicit Fixture(const std::string& cm_name = "Polka") {
+  explicit Fixture(const std::string& cm_name = "Polka",
+                   stm::BackendKind backend = stm::BackendKind::kDstm) {
     cm::Params params;
     params.threads = 2;
-    rt = std::make_unique<stm::Runtime>(cm::make_manager(cm_name, params));
+    stm::RuntimeConfig cfg;
+    cfg.backend = backend;
+    rt = std::make_unique<stm::Runtime>(cm::make_manager(cm_name, params), cfg);
     tc = &rt->attach_thread();
   }
   std::unique_ptr<stm::Runtime> rt;
   stm::ThreadCtx* tc;
 };
 
-void BM_EmptyTransaction(benchmark::State& state) {
-  Fixture f;
+// ------------------------------------------------- fixed per-tx cost ----
+// One-thread transactions too small to be anything but begin/commit
+// overhead, per engine and manager. clock_reads_per_tx counts the
+// CLOCK_MONOTONIC reads they make: Polka reads no attempt timestamp, so its
+// rows read only for the 1-in-64 metrics sample; Greedy arbitrates on
+// first_begin_ns and stamps every attempt (check_bench.py --mode clock).
+void report_clock_reads(benchmark::State& state, std::uint64_t reads_before,
+                        const char* counter = "clock_reads_per_tx") {
+  const auto iters = static_cast<double>(state.iterations());
+  state.counters[counter] =
+      iters > 0 ? static_cast<double>(t_clock_reads - reads_before) / iters : 0.0;
+}
+
+void BM_EmptyTransaction(benchmark::State& state, stm::BackendKind backend, const char* cm) {
+  Fixture f(cm, backend);
+  const std::uint64_t reads_before = t_clock_reads;
   for (auto _ : state) {
     f.rt->atomically(*f.tc, [](stm::Tx&) {});
   }
+  report_clock_reads(state, reads_before);
 }
-BENCHMARK(BM_EmptyTransaction);
 
-void BM_ReadOneObject(benchmark::State& state) {
-  Fixture f;
+void BM_ReadOneObject(benchmark::State& state, stm::BackendKind backend, const char* cm) {
+  Fixture f(cm, backend);
   stm::TObject<long> obj(7);
+  const std::uint64_t reads_before = t_clock_reads;
   for (auto _ : state) {
     long v = f.rt->atomically(*f.tc, [&](stm::Tx& tx) { return *obj.open_read(tx); });
     benchmark::DoNotOptimize(v);
   }
+  report_clock_reads(state, reads_before);
 }
-BENCHMARK(BM_ReadOneObject);
 
-void BM_WriteOneObject(benchmark::State& state) {
-  Fixture f;
+void BM_WriteOneObject(benchmark::State& state, stm::BackendKind backend, const char* cm) {
+  Fixture f(cm, backend);
   stm::TObject<long> obj(0);
+  const std::uint64_t reads_before = t_clock_reads;
   for (auto _ : state) {
     f.rt->atomically(*f.tc, [&](stm::Tx& tx) { *obj.open_write(tx) += 1; });
   }
+  report_clock_reads(state, reads_before);
 }
-BENCHMARK(BM_WriteOneObject);
+
+#define WSTM_FIXED_COST_ROWS(bench)                                   \
+  BENCHMARK_CAPTURE(bench, dstm, stm::BackendKind::kDstm, "Polka");   \
+  BENCHMARK_CAPTURE(bench, orec, stm::BackendKind::kOrec, "Polka");   \
+  BENCHMARK_CAPTURE(bench, dstm_greedy, stm::BackendKind::kDstm, "Greedy")
+WSTM_FIXED_COST_ROWS(BM_EmptyTransaction);
+WSTM_FIXED_COST_ROWS(BM_ReadOneObject);
+WSTM_FIXED_COST_ROWS(BM_WriteOneObject);
+
+// The price of one now_ns(), the unit the rows above save.
+void BM_NowNs(benchmark::State& state) {
+  const std::uint64_t reads_before = t_clock_reads;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(now_ns());
+  }
+  report_clock_reads(state, reads_before, "clock_reads_per_call");
+}
+BENCHMARK(BM_NowNs);
 
 void BM_OpenReadMany(benchmark::State& state) {
   Fixture f;

@@ -21,6 +21,12 @@ const std::vector<std::string> kClassicNames = {
     "Kindergarten", "Eruption", "RandomizedRounds", "ATS", "Steal-On-Abort",
 };
 
+/// Classic managers whose decisions never read the attempt timestamps.
+const std::vector<std::string> kUntimedNames = {
+    "Polka", "Karma", "Polite", "Aggressive", "Kindergarten", "Eruption", "RandomizedRounds",
+    "Steal-On-Abort",
+};
+
 }  // namespace
 
 ManagerPtr make_manager(const std::string& name, const Params& params) {
@@ -62,6 +68,10 @@ std::vector<std::string> classic_manager_names() { return kClassicNames; }
 
 bool is_window_manager(const std::string& name) {
   return std::find(kWindowNames.begin(), kWindowNames.end(), name) != kWindowNames.end();
+}
+
+bool is_timed_manager(const std::string& name) {
+  return std::find(kUntimedNames.begin(), kUntimedNames.end(), name) == kUntimedNames.end();
 }
 
 }  // namespace wstm::cm

@@ -39,4 +39,11 @@ std::vector<std::string> classic_manager_names();
 
 bool is_window_manager(const std::string& name);
 
+/// True when the manager reads the attempt timestamps (TxDesc::begin_ns /
+/// first_begin_ns): Greedy, Priority, Timestamp, ATS and the window family.
+/// Unknown names count as timed, so a new manager keeps its clock until it
+/// is listed as clock-free here. The Runtime stamps attempts only when this
+/// (or the liveness layer, or a trace recorder) needs the value.
+bool is_timed_manager(const std::string& name);
+
 }  // namespace wstm::cm

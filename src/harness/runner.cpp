@@ -1,5 +1,6 @@
 #include "harness/runner.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <memory>
@@ -93,9 +94,13 @@ RunResult run_workload(const std::string& cm_name, cm::Params cm_params, Workloa
   const std::int64_t begin = now_ns();
   start.store(true, std::memory_order_release);
   if (run.fixed_commits == 0) {
+    // Sleep, not yield: a spinning controller is one more runnable thread
+    // than the M workers. Slices of at most 1 ms still notice a worker's
+    // early stop (an escaped exception) promptly.
     const std::int64_t deadline = begin + run.duration_ms * 1'000'000;
-    while (now_ns() < deadline && !stop.load(std::memory_order_acquire)) {
-      std::this_thread::yield();
+    for (std::int64_t now = now_ns(); now < deadline && !stop.load(std::memory_order_acquire);
+         now = now_ns()) {
+      std::this_thread::sleep_for(Nanos(std::min<std::int64_t>(deadline - now, 1'000'000)));
     }
     stop.store(true, std::memory_order_release);
   }

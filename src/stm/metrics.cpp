@@ -67,10 +67,12 @@ MetricsSummary summarize(const ThreadMetrics& totals, std::int64_t elapsed_ns) {
   }
   if (totals.commits > 0) {
     s.aborts_per_commit = static_cast<double>(totals.aborts) / static_cast<double>(totals.commits);
-    s.mean_response_us =
-        static_cast<double>(totals.response_ns) / static_cast<double>(totals.commits) / 1e3;
     s.repeat_conflicts_per_commit =
         static_cast<double>(totals.repeat_conflicts) / static_cast<double>(totals.commits);
+  }
+  if (totals.timed_commits > 0) {
+    s.mean_response_us =
+        static_cast<double>(totals.response_ns) / static_cast<double>(totals.timed_commits) / 1e3;
   }
   const std::int64_t busy = totals.wasted_ns + totals.committed_ns;
   if (busy > 0) {

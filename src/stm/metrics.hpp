@@ -23,13 +23,19 @@ struct ThreadMetrics {
   /// this thread ("repeat conflicts" — time spent fighting one enemy).
   std::uint64_t repeat_conflicts = 0;
 
+  // Timing, over *timed* logical transactions only: every one when the
+  // runtime reads the attempt clock anyway (a timestamp-reading manager,
+  // the liveness layer or a trace recorder), otherwise each thread's first
+  // and then every Runtime::kTimingSamplePeriod-th (all of its attempts).
   /// Wall time spent in attempts that ended in abort ("wasted work").
   std::int64_t wasted_ns = 0;
   /// Wall time spent in attempts that committed.
   std::int64_t committed_ns = 0;
-  /// Sum over committed transactions of (commit time - first attempt begin):
-  /// response time, including all retries.
+  /// Sum over timed committed transactions of (commit time - first attempt
+  /// begin): response time, including all retries.
   std::int64_t response_ns = 0;
+  /// Committed transactions that were timed: response_ns's denominator.
+  std::uint64_t timed_commits = 0;
   /// Total attempts whose conflict loop waited at least once.
   std::uint64_t waits = 0;
 
@@ -136,6 +142,7 @@ struct ThreadMetrics {
     wasted_ns += other.wasted_ns;
     committed_ns += other.committed_ns;
     response_ns += other.response_ns;
+    timed_commits += other.timed_commits;
     waits += other.waits;
     parks += other.parks;
     park_ns += other.park_ns;
@@ -176,7 +183,7 @@ struct MetricsSummary {
   double throughput_per_s = 0.0;     // commits / elapsed seconds
   double aborts_per_commit = 0.0;    // Fig. 4's metric
   double wasted_fraction = 0.0;      // wasted / (wasted + committed) time
-  double mean_response_us = 0.0;     // mean committed response time
+  double mean_response_us = 0.0;     // mean response time of timed commits
   double repeat_conflicts_per_commit = 0.0;  // paper §IV "repeat conflicts"
   std::uint64_t commits = 0;
   std::uint64_t aborts = 0;

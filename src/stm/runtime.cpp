@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "cm/registry.hpp"
 #include "stm/dstm/engine.hpp"
 #include "stm/orec/engine.hpp"
 #include "trace/recorder.hpp"
@@ -29,6 +30,10 @@ Runtime::Runtime(cm::ManagerPtr manager, Config config)
   } else {
     backend_ = std::make_unique<DstmEngine>(*this);
   }
+  // By name, not by a virtual: decorators that forward name() (perfbench's
+  // probe) then keep the decision without forwarding anything new.
+  clocked_ = cm::is_timed_manager(manager_->name()) || config_.liveness.enabled ||
+             config_.recorder != nullptr;
   manager_->attach_recorder(config_.recorder);
   manager_->attach_wait_hooks(&park_waiter_);
   for (auto& p : parked_on_) p->store(-1, std::memory_order_relaxed);
@@ -241,15 +246,14 @@ TxDesc* Runtime::begin_attempt(ThreadCtx& tc, std::int64_t first_begin, bool is_
   }
 
   // Unwind protection until the descriptor is published: anything that
-  // throws in between (the liveness deadline check, the EBR pin, the pool
-  // allocation) must not leak the active flag — shutdown() would spin on it
-  // until the drain timeout — nor the serial-fallback token, which has no
-  // other release path and would disable serial fallback for the rest of
-  // the run.
+  // throws in between (the liveness deadline check, the pool allocation,
+  // the retire-list chunk) must not leak the active flag — shutdown() would
+  // spin on it until the drain timeout — nor the EBR pin, nor the
+  // serial-fallback token, which has no other release path and would
+  // disable serial fallback for the rest of the run.
   struct BeginGuard {
     Runtime* rt;
     ThreadCtx* tc;
-    bool pinned = false;
     bool armed = true;
     ~BeginGuard() {
       if (!armed) return;
@@ -257,7 +261,7 @@ TxDesc* Runtime::begin_attempt(ThreadCtx& tc, std::int64_t first_begin, bool is_
         tc->attempt_irrevocable_ = false;
         rt->liveness_->release_token(tc->slot_);
       }
-      if (pinned) tc->ebr_.unpin();
+      if (tc->ebr_.pinned()) tc->ebr_.unpin();
       rt->attempt_active_[tc->slot_]->store(0, std::memory_order_release);
     }
   } guard{this, &tc};
@@ -265,19 +269,19 @@ TxDesc* Runtime::begin_attempt(ThreadCtx& tc, std::int64_t first_begin, bool is_
   std::uint32_t level = 0;
   if (liveness_ != nullptr) level = liveness_pre_begin(tc, first_begin);
 
-  tc.ebr_.pin();
-  guard.pinned = true;
-
   auto* desc = new (util::Pool::allocate(tc.pool_, sizeof(TxDesc))) TxDesc();
   desc->thread_slot = tc.slot_;
   desc->serial = ++tc.serial_;
-  // First attempts reuse the timestamp atomically() just took; only retries
-  // need a fresh clock read.
-  desc->begin_ns = is_retry ? now_ns() : first_begin;
-  desc->first_begin_ns = first_begin;
+  if (tc.timed_) {
+    // First attempts reuse the timestamp atomically() just took; only
+    // retries need a fresh clock read. Untimed attempts keep both at 0:
+    // nothing in this runtime reads them.
+    desc->begin_ns = is_retry ? now_ns() : first_begin;
+    desc->first_begin_ns = first_begin;
+  }
   if (level >= 2) {
     // Escalation state becomes visible to enemies with the descriptor
-    // itself: both fields are set before the publishing exchange below, so
+    // itself: both fields are set before the publishing store below, so
     // no enemy ever observes a half-escalated attempt. Level 1 is purely a
     // backoff stage (already slept in liveness_pre_begin) and carries no
     // arbitration boost.
@@ -285,11 +289,22 @@ TxDesc* Runtime::begin_attempt(ThreadCtx& tc, std::int64_t first_begin, bool is_
     if (tc.attempt_irrevocable_) desc->irrevocable.store(true, std::memory_order_relaxed);
   }
 
-  // Publish: one reference for the slot pointer (released via EBR when the
-  // next attempt replaces it) plus the constructor's own reference for the
-  // executing thread.
-  desc->add_ref();
-  TxDesc* prev = current_tx_[tc.slot_]->exchange(desc, std::memory_order_acq_rel);
+  // Publish with both references in place: the slot pointer's (released
+  // via EBR when the next attempt replaces it) and the executing thread's.
+  // This thread is the slot's only writer while attached, so a plain load
+  // of the old value and a release store need no RMW.
+  desc->refs.store(2, std::memory_order_relaxed);
+  TxDesc* prev = current_tx_[tc.slot_]->load(std::memory_order_relaxed);
+  current_tx_[tc.slot_]->store(desc, std::memory_order_release);
+  // Pin only now, so that the publishing store is visible before retire()
+  // reads the epoch and an enemy still able to load `prev` is pinned in an
+  // epoch the retirement waits out. This is a hardware-mapping argument,
+  // not a C++ memory-model guarantee: a release store is outside the
+  // seq_cst total order, and only the x86, ARMv8 and POWER mappings of the
+  // pin's seq_cst store and epoch re-load keep the publishing store ahead
+  // of the epoch read. Neither TSan nor the serialized checker can detect
+  // a violation (DESIGN.md §5).
+  tc.ebr_.pin();
   if (prev != nullptr) tc.ebr_.retire(prev, &release_desc_ref);
 
   tc.current_ = desc;
@@ -365,17 +380,20 @@ void Runtime::cleanup_attempt(ThreadCtx& tc, bool committed) {
   backend_->end(tc, committed);
 
   // One clock read serves elapsed-time and response-time accounting (and
-  // the trace event) — now_ns() is a measurable cost at millions of
-  // attempts per second.
-  const std::int64_t end_ns = now_ns();
+  // the trace event), and only timed transactions take it — now_ns() is a
+  // measurable cost at millions of attempts per second.
+  const std::int64_t end_ns = tc.timed_ ? now_ns() : 0;
   const std::int64_t elapsed = end_ns - desc->begin_ns;
   if (committed) {
     for (const auto& r : tc.commit_retires_) tc.ebr_.retire(r.ptr, r.deleter);
     tc.commit_retires_.clear();
     tc.allocs_.clear();  // ownership passed to the data structure
     tc.metrics_.commits++;
-    tc.metrics_.committed_ns += elapsed;
-    tc.metrics_.response_ns += end_ns - desc->first_begin_ns;
+    if (tc.timed_) {
+      tc.metrics_.timed_commits++;
+      tc.metrics_.committed_ns += elapsed;
+      tc.metrics_.response_ns += end_ns - desc->first_begin_ns;
+    }
     if (trace::Recorder* rec = config_.recorder) {
       rec->record(tc.slot_, trace::EventKind::kCommit, desc->serial, 0, trace::kNoEnemy,
                   static_cast<std::uint64_t>(elapsed),
@@ -403,7 +421,7 @@ void Runtime::cleanup_attempt(ThreadCtx& tc, bool committed) {
     tc.allocs_.clear();
     tc.commit_retires_.clear();
     tc.metrics_.aborts++;
-    tc.metrics_.wasted_ns += elapsed;
+    tc.metrics_.wasted_ns += elapsed;  // 0 when untimed
     if (trace::Recorder* rec = config_.recorder) {
       // Best-effort killer attribution from a manager-registered aborter
       // (Steal-On-Abort); the offline analyzer joins the winner's conflict
@@ -423,9 +441,13 @@ void Runtime::cleanup_attempt(ThreadCtx& tc, bool committed) {
   if (tc.waited_this_attempt_) tc.metrics_.waits++;
 
   // Release a leftover aborter registration the manager did not claim
-  // (e.g. the registering enemy lost the kill race and we committed).
-  if (TxDesc* by = desc->aborted_by.exchange(nullptr, std::memory_order_acq_rel)) {
-    by->release();
+  // (e.g. the registering enemy lost the kill race and we committed). The
+  // relaxed load skips the RMW in the common case; a registration landing
+  // after it is dropped by this descriptor's last release().
+  if (desc->aborted_by.load(std::memory_order_relaxed) != nullptr) {
+    if (TxDesc* by = desc->aborted_by.exchange(nullptr, std::memory_order_acq_rel)) {
+      by->release();
+    }
   }
 
   // Escalation bookkeeping for the logical transaction (cheap enough to

@@ -157,6 +157,11 @@ class ThreadCtx {
   bool detached_ = false;
   TxDesc* current_ = nullptr;
   std::uint64_t serial_ = 0;
+  /// Logical transactions begun on this thread (the timing sample clock).
+  std::uint64_t logical_txs_ = 0;
+  /// The in-flight logical transaction is timed (Runtime::begin_logical):
+  /// its attempts carry timestamps and feed the ThreadMetrics timing sums.
+  bool timed_ = false;
   ThreadMetrics metrics_;
   std::vector<TrackedAlloc> allocs_;
   std::vector<TrackedAlloc> commit_retires_;
@@ -327,6 +332,9 @@ class Runtime {
   static constexpr unsigned kMaxThreads = 128;
   static_assert(kMaxThreads <= ReaderStripes::kCapacity,
                 "striped reader records must cover every thread slot");
+  /// When nothing but the metrics reads the attempt clock, each thread
+  /// times its first logical transaction and then every this-many-th.
+  static constexpr std::uint64_t kTimingSamplePeriod = 64;
 
   using Config = RuntimeConfig;
 
@@ -362,7 +370,7 @@ class Runtime {
   template <typename F>
   auto atomically(ThreadCtx& tc, F&& fn) {
     using Result = std::invoke_result_t<F&, Tx&>;
-    const std::int64_t first_begin = now_ns();
+    const std::int64_t first_begin = begin_logical(tc);
     bool is_retry = false;
     for (;;) {
       TxDesc* desc = begin_attempt(tc, first_begin, is_retry);
@@ -442,6 +450,15 @@ class Runtime {
   void open_prologue(ThreadCtx& tc) {
     if (liveness_ != nullptr) liveness_->heartbeat(tc.slot_, now_ns());
     if (chaos_ != nullptr) [[unlikely]] chaos_at_open(tc);
+  }
+
+  /// Starts a logical transaction: decides whether it is timed and returns
+  /// its first attempt's timestamp, 0 when it is not. A clocked runtime
+  /// times every transaction; otherwise only the metrics would consume the
+  /// clock, and they take a 1-in-kTimingSamplePeriod sample per thread.
+  std::int64_t begin_logical(ThreadCtx& tc) noexcept {
+    tc.timed_ = clocked_ || tc.logical_txs_++ % kTimingSamplePeriod == 0;
+    return tc.timed_ ? now_ns() : 0;
   }
 
   TxDesc* begin_attempt(ThreadCtx& tc, std::int64_t first_begin, bool is_retry);
@@ -539,6 +556,10 @@ class Runtime {
 
   cm::ManagerPtr manager_;
   Config config_;
+  /// Something reads the attempt timestamps: the manager (by name, see
+  /// cm::is_timed_manager), the liveness layer or a trace recorder. Fixed
+  /// at construction.
+  bool clocked_ = true;
   /// The execution engine (DstmEngine or OrecEngine per config_.backend),
   /// constructed once in the ctor; never null after construction.
   std::unique_ptr<Backend> backend_;

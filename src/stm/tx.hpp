@@ -70,7 +70,9 @@ struct alignas(kCacheLine) TxDesc {
   /// Identity of the transaction that aborted this one, registered by
   /// scheduler-style managers (Steal-On-Abort) before the kill; carries one
   /// reference, released by the victim's cleanup (runtime) or its manager's
-  /// on_abort, whichever claims it first via exchange.
+  /// on_abort, whichever claims it first via exchange. A registration that
+  /// lands after both (the victim already finished) is dropped by the
+  /// victim's last release().
   std::atomic<TxDesc*> aborted_by{nullptr};
 
   // --- lifetime ---
@@ -79,13 +81,18 @@ struct alignas(kCacheLine) TxDesc {
   void add_ref() noexcept { refs.fetch_add(1, std::memory_order_relaxed); }
 
   /// Drops one reference; recycles the descriptor's block when it was the
-  /// last. Runtime-created descriptors live in pool blocks (see
+  /// last, then drops the reference of any aborter still registered.
+  /// Runtime-created descriptors live in pool blocks (see
   /// Runtime::begin_attempt); a remote release routes the block back to the
   /// owning thread's pool through its remote-free stack.
   void release() noexcept {
-    if (refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      this->~TxDesc();
-      util::Pool::deallocate(this);
+    TxDesc* d = this;
+    // A loop, not recursion: each freed descriptor hands on one reference.
+    while (d != nullptr && d->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      TxDesc* by = d->aborted_by.load(std::memory_order_acquire);
+      d->~TxDesc();
+      util::Pool::deallocate(d);
+      d = by;
     }
   }
 

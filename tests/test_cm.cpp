@@ -4,12 +4,14 @@
 
 #include <atomic>
 #include <memory>
+#include <new>
 
 #include "cm/classic.hpp"
 #include "cm/schedulers.hpp"
 #include "cm/registry.hpp"
 #include "stm/runtime.hpp"
 #include "trace/recorder.hpp"
+#include "util/pool.hpp"
 #include "util/timing.hpp"
 
 namespace wstm::cm {
@@ -368,6 +370,22 @@ TEST_F(CmTest, StealOnAbortRegistersTheAborter) {
   // The victim's cleanup path releases the registration.
   TxDesc* by = enemy.aborted_by.exchange(nullptr);
   by->release();
+  EXPECT_EQ(me.refs.load(), refs_before);
+}
+
+TEST_F(CmTest, StealOnAbortLateRegistrationIsReleasedWithTheVictim) {
+  // The aborter registers on a victim whose cleanup already ran (nothing
+  // left to claim aborted_by); the victim's last release must drop the
+  // registration's reference, or the aborter's block never comes back.
+  StealOnAbort cm;
+  TxDesc me;
+  init_desc(me, tc_->slot(), 10);
+  auto* victim = new (util::Pool::allocate(nullptr, sizeof(TxDesc))) TxDesc();
+  init_desc(*victim, 1, 20);
+  const auto refs_before = me.refs.load();
+  EXPECT_EQ(cm.resolve(*tc_, me, *victim, ConflictKind::kWriteWrite), Resolution::kAbortEnemy);
+  EXPECT_EQ(me.refs.load(), refs_before + 1);
+  victim->release();  // its only reference: the descriptor is recycled
   EXPECT_EQ(me.refs.load(), refs_before);
 }
 

@@ -166,15 +166,24 @@ TEST(OrecBasic, NoTornSnapshotAcrossRemoteCommit) {
 
 // Every benchmark structure survives a concurrent churn on the orec backend
 // with the post-run invariant check; a 4-orec table forces constant false
-// sharing of locks, exercising the collision dedup in acquire_locks.
+// sharing of locks, exercising the collision dedup in acquire_locks. A
+// parameter "<structure>" churns at 100% updates, "<structure>_u<P>" at P%
+// (the read-mostly input: its read-only commits run unclocked under Polka).
 class OrecWorkloads : public ::testing::TestWithParam<std::string> {};
 INSTANTIATE_TEST_SUITE_P(Structs, OrecWorkloads,
-                         ::testing::Values("list", "rbtree", "skiplist", "hashtable"),
+                         ::testing::Values("list", "rbtree", "skiplist", "hashtable",
+                                           "hashtable_u10"),
                          [](const auto& info) { return info.param; });
 
 TEST_P(OrecWorkloads, ConcurrentChurnValidates) {
+  const std::string& param = GetParam();
+  const std::size_t cut = param.find("_u");
+  const std::string kind = param.substr(0, cut);
+  const std::uint32_t update_percent =
+      cut == std::string::npos ? 100
+                               : static_cast<std::uint32_t>(std::stoul(param.substr(cut + 2)));
   for (const std::uint32_t table_bits : {16u, 2u}) {
-    auto workload = harness::make_workload(GetParam(), /*update_percent=*/100,
+    auto workload = harness::make_workload(kind, update_percent,
                                            /*key_range=*/64, /*zipf_alpha=*/0.0);
     harness::RunConfig run;
     run.threads = 4;
@@ -187,6 +196,8 @@ TEST_P(OrecWorkloads, ConcurrentChurnValidates) {
       const harness::RunResult r =
           harness::run_workload("Polka", cm::Params{}, *workload, run);
       EXPECT_TRUE(r.valid) << GetParam() << ": " << r.why;
+      // One committed transaction per int-set operation.
+      EXPECT_EQ(r.totals.commits, r.latency_count) << GetParam();
       EXPECT_GT(r.totals.commits, 0u) << GetParam();
       EXPECT_GT(r.totals.orec_write_backs, 0u) << GetParam();
     } else {

@@ -209,11 +209,75 @@ TEST(StmBasic, SummarizeComputesDerivedMetrics) {
   t.wasted_ns = 250;
   t.committed_ns = 750;
   t.response_ns = 100 * 2000;
+  t.timed_commits = 100;
   const MetricsSummary s = summarize(t, 1'000'000'000);  // 1 s
   EXPECT_DOUBLE_EQ(s.throughput_per_s, 100.0);
   EXPECT_DOUBLE_EQ(s.aborts_per_commit, 0.5);
   EXPECT_DOUBLE_EQ(s.wasted_fraction, 0.25);
   EXPECT_DOUBLE_EQ(s.mean_response_us, 2.0);
+
+  // Sampled timing: the response sum covers only the timed commits, so
+  // they, not all commits, are the mean's denominator.
+  t.timed_commits = 10;
+  t.response_ns = 10 * 3000;
+  const MetricsSummary sampled = summarize(t, 1'000'000'000);
+  EXPECT_DOUBLE_EQ(sampled.throughput_per_s, 100.0);
+  EXPECT_DOUBLE_EQ(sampled.mean_response_us, 3.0);
+}
+
+TEST(StmBasic, UnclockedManagerSamplesTiming) {
+  // Polka reads no attempt timestamp, so only the metrics want the clock:
+  // each thread times its first logical transaction and every 64th after.
+  static_assert(Runtime::kTimingSamplePeriod == 64);
+  auto rt = make_runtime("Polka");
+  ThreadCtx& tc = rt->attach_thread();
+  TObject<Box> obj(Box{0});
+  for (int i = 0; i < 640; ++i) {
+    rt->atomically(tc, [&](Tx& tx) { obj.open_write(tx)->value++; });
+  }
+  const ThreadMetrics m = rt->total_metrics();
+  EXPECT_EQ(m.commits, 640u);
+  EXPECT_EQ(m.aborts, 0u);
+  EXPECT_EQ(m.timed_commits, 10u);
+  EXPECT_GT(m.committed_ns, 0);
+  EXPECT_GT(m.response_ns, 0);
+  EXPECT_EQ(obj.peek()->value, 640);
+}
+
+TEST(StmBasic, ClockedManagerTimesEveryCommit) {
+  // Greedy arbitrates on first_begin_ns, so every attempt is stamped and
+  // every commit is timed, exactly as without sampling.
+  auto rt = make_runtime("Greedy");
+  ThreadCtx& tc = rt->attach_thread();
+  TObject<Box> obj(Box{0});
+  int attempts = 0;
+  for (int i = 0; i < 100; ++i) {
+    rt->atomically(tc, [&](Tx& tx) {
+      obj.open_write(tx)->value++;
+      if (++attempts % 7 == 0) tx.restart();
+    });
+  }
+  const ThreadMetrics m = rt->total_metrics();
+  EXPECT_EQ(m.commits, 100u);
+  EXPECT_GT(m.aborts, 0u);
+  EXPECT_EQ(m.timed_commits, m.commits);
+  EXPECT_GT(m.committed_ns, 0);
+  EXPECT_GT(m.response_ns, 0);
+}
+
+TEST(StmBasic, RegistryClassifiesTimedManagers) {
+  for (const char* name : {"Greedy", "Priority", "Timestamp", "ATS"}) {
+    EXPECT_TRUE(cm::is_timed_manager(name)) << name;
+  }
+  for (const auto& name : cm::window_manager_names()) {
+    EXPECT_TRUE(cm::is_timed_manager(name)) << name;
+  }
+  // Every other classic manager reads no attempt timestamp.
+  std::size_t untimed = 0;
+  for (const auto& name : cm::classic_manager_names()) untimed += !cm::is_timed_manager(name);
+  EXPECT_EQ(cm::classic_manager_names().size(), 12u);
+  EXPECT_EQ(untimed, 8u);
+  EXPECT_TRUE(cm::is_timed_manager("NoSuchManager"));
 }
 
 }  // namespace

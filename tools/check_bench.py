@@ -14,6 +14,18 @@ Modes:
   entries validated per open; anything above the threshold means opens
   regressed toward revalidating the whole read set on every open.
 
+* --mode clock (BENCH_clock.json): the attempt clock is read only where
+  something consumes it. micro_stm interposes clock_gettime and reports
+  CLOCK_MONOTONIC reads per transaction on the fixed-cost rows
+  (`BM_EmptyTransaction`, `BM_ReadOneObject`, `BM_WriteOneObject`, each
+  /dstm, /orec and /dstm_greedy). Polka reads no attempt timestamp, so its
+  rows (/dstm, /orec) may read only for the 1-in-64 metrics sample: at most
+  0.05 per transaction (a fixed bound, not an option). Two self-checks keep
+  that clause from passing vacuously: `BM_NowNs` must count one read per
+  now_ns() call (the interposer sees the library's clock), and the Greedy
+  rows, which arbitrate on the first attempt's timestamp, must still read
+  at least once per transaction.
+
 * --mode scaling (BENCH_scaling.json, from bench/fig_scaling_matrix --json):
   the shared commit-clock line must actually go quiet under the deferred
   protocol. Always gated, per row: validation passed, attempt conservation
@@ -63,6 +75,7 @@ Modes:
 Usage: check_bench.py BENCH_micro.json [--max-allocs-per-attempt 0.5]
        check_bench.py BENCH_readval.json --mode readval \
            [--max-validations-per-read 1.05]
+       check_bench.py BENCH_clock.json --mode clock
        check_bench.py BENCH_serve.json --mode serve \
            [--min-throughput-ratio 1.2] [--max-p99-ratio 0.7]
        check_bench.py BENCH_scaling.json --mode scaling [--max-bump-ratio 0.2]
@@ -149,6 +162,51 @@ def gate(report, prefix: str, counter: str, limit: float, info_prefixes) -> int:
             if isinstance(value, (int, float)):
                 print(f"check_bench: (info) {name}: {counter}={value:.4f}")
 
+    return 1 if failed else 0
+
+
+FIXED_COST_ROWS = ("BM_EmptyTransaction", "BM_ReadOneObject", "BM_WriteOneObject")
+
+# A sampled transaction reads the clock twice (begin and end), and each
+# thread samples its first logical transaction and every 64th after it:
+# 2 * ceil(n / 64) reads for n transactions, 2/64 = 0.031 per transaction
+# on a long run. 0.05 leaves margin for a short one.
+MAX_CLOCK_READS_PER_TX = 0.05
+
+
+def gate_clock(report) -> int:
+    """Polka fixed-cost rows read the clock only for the metrics sample."""
+    rows = {
+        b.get("name", ""): b
+        for b in report["benchmarks"]
+        if b.get("run_type", "iteration") == "iteration"
+    }
+    # (row, counter, lowest, highest): BM_NowNs and the Greedy rows are the
+    # self-checks that the interposer sees the library's clock at all.
+    checks = [("BM_NowNs", "clock_reads_per_call", 0.99, 1.01)]
+    for bench in FIXED_COST_ROWS:
+        checks += [
+            (f"{bench}/dstm", "clock_reads_per_tx", 0.0, MAX_CLOCK_READS_PER_TX),
+            (f"{bench}/orec", "clock_reads_per_tx", 0.0, MAX_CLOCK_READS_PER_TX),
+            (f"{bench}/dstm_greedy", "clock_reads_per_tx", 1.0, float("inf")),
+        ]
+    failed = False
+    for name, key, lo, hi in checks:
+        value = rows.get(name, {}).get(key)
+        if not isinstance(value, (int, float)):
+            print(
+                f"check_bench: {name} missing or lacks a numeric {key} counter "
+                "(was the bench built with the clock interposer?)",
+                file=sys.stderr,
+            )
+            failed = True
+            continue
+        ok = lo <= value <= hi
+        print(
+            f"check_bench: {name}: {key}={value:.4f} (want {lo} to {hi}) "
+            f"{'ok' if ok else 'FAIL'}"
+        )
+        failed |= not ok
     return 1 if failed else 0
 
 
@@ -570,7 +628,7 @@ def main() -> int:
     parser.add_argument("json_path")
     parser.add_argument(
         "--mode",
-        choices=("alloc", "readval", "serve", "scaling", "backend", "arbitration"),
+        choices=("alloc", "readval", "clock", "serve", "scaling", "backend", "arbitration"),
         default="alloc",
     )
     parser.add_argument("--max-allocs-per-attempt", type=float, default=0.5)
@@ -617,6 +675,8 @@ def main() -> int:
     if report is None:
         return 1
 
+    if args.mode == "clock":
+        return gate_clock(report)
     if args.mode == "alloc":
         return gate(
             report,
