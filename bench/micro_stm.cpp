@@ -113,7 +113,10 @@ struct Fixture {
 // overhead, per engine and manager. clock_reads_per_tx counts the
 // CLOCK_MONOTONIC reads they make: Polka reads no attempt timestamp, so its
 // rows read only for the 1-in-64 metrics sample; Greedy arbitrates on
-// first_begin_ns and stamps every attempt (check_bench.py --mode clock).
+// first_begin_ns and stamps every attempt. publishes_per_tx is how often a
+// transaction publishes a descriptor: DSTM and orec writers do every time,
+// unexposed orec transactions never (both gated by check_bench.py --mode
+// clock).
 void report_clock_reads(benchmark::State& state, std::uint64_t reads_before,
                         const char* counter = "clock_reads_per_tx") {
   const auto iters = static_cast<double>(state.iterations());
@@ -121,34 +124,48 @@ void report_clock_reads(benchmark::State& state, std::uint64_t reads_before,
       iters > 0 ? static_cast<double>(t_clock_reads - reads_before) / iters : 0.0;
 }
 
+// Times `tx` (one transaction), then runs an untimed probe of kProbeTxs more
+// that counts how often the thread's published descriptor changes between
+// consecutive transactions. Pointers are compared, never dereferenced.
+template <typename TxFn>
+void run_fixed_cost_row(benchmark::State& state, Fixture& f, TxFn tx) {
+  const std::uint64_t reads_before = t_clock_reads;
+  for (auto _ : state) tx();
+  report_clock_reads(state, reads_before);
+
+  constexpr int kProbeTxs = 1000;
+  const unsigned slot = f.tc->slot();
+  const stm::TxDesc* prev = f.rt->tx_of_slot(slot);
+  int changes = 0;
+  for (int i = 0; i < kProbeTxs; ++i) {
+    tx();
+    const stm::TxDesc* cur = f.rt->tx_of_slot(slot);
+    changes += cur != prev ? 1 : 0;
+    prev = cur;
+  }
+  state.counters["publishes_per_tx"] = static_cast<double>(changes) / kProbeTxs;
+}
+
 void BM_EmptyTransaction(benchmark::State& state, stm::BackendKind backend, const char* cm) {
   Fixture f(cm, backend);
-  const std::uint64_t reads_before = t_clock_reads;
-  for (auto _ : state) {
-    f.rt->atomically(*f.tc, [](stm::Tx&) {});
-  }
-  report_clock_reads(state, reads_before);
+  run_fixed_cost_row(state, f, [&] { f.rt->atomically(*f.tc, [](stm::Tx&) {}); });
 }
 
 void BM_ReadOneObject(benchmark::State& state, stm::BackendKind backend, const char* cm) {
   Fixture f(cm, backend);
   stm::TObject<long> obj(7);
-  const std::uint64_t reads_before = t_clock_reads;
-  for (auto _ : state) {
+  run_fixed_cost_row(state, f, [&] {
     long v = f.rt->atomically(*f.tc, [&](stm::Tx& tx) { return *obj.open_read(tx); });
     benchmark::DoNotOptimize(v);
-  }
-  report_clock_reads(state, reads_before);
+  });
 }
 
 void BM_WriteOneObject(benchmark::State& state, stm::BackendKind backend, const char* cm) {
   Fixture f(cm, backend);
   stm::TObject<long> obj(0);
-  const std::uint64_t reads_before = t_clock_reads;
-  for (auto _ : state) {
+  run_fixed_cost_row(state, f, [&] {
     f.rt->atomically(*f.tc, [&](stm::Tx& tx) { *obj.open_write(tx) += 1; });
-  }
-  report_clock_reads(state, reads_before);
+  });
 }
 
 #define WSTM_FIXED_COST_ROWS(bench)                                   \

@@ -83,6 +83,11 @@ Action VirtualExecutor::on_point(Point p, const void* object) noexcept {
 }
 
 void VirtualExecutor::on_opacity_violation(const char* what) noexcept {
+  // The ghost checks assume token-serialized execution. In the free-run
+  // tail real concurrency races them benignly, and the run's verdict is
+  // void anyway. Every thread learns of the flip under mu_ (its on_point
+  // or start wait), so the relaxed load cannot miss it.
+  if (free_run_.load(std::memory_order_relaxed)) return;
   opacity_violations_.fetch_add(1, std::memory_order_acq_rel);
   const char* expected = nullptr;
   first_opacity_what_.compare_exchange_strong(expected, what, std::memory_order_acq_rel);

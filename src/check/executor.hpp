@@ -56,6 +56,8 @@ class VirtualExecutor final : public SchedulerHook {
   Action on_point(Point p, const void* object) noexcept override;
 
   /// Runtime-side: ghost opacity oracle report (token held — see hooks.hpp).
+  /// Ignored once the run has gone over budget: the ghost checks assume
+  /// serialized execution, which free-run no longer provides.
   void on_opacity_violation(const char* what) noexcept override;
 
   const std::vector<Decision>& log() const noexcept { return log_; }
@@ -63,10 +65,11 @@ class VirtualExecutor final : public SchedulerHook {
   /// True once the step budget forced free-running (run verdicts are void).
   bool over_budget() const noexcept { return free_run_.load(std::memory_order_relaxed); }
 
-  /// Ghost opacity-oracle reports collected this run (see
-  /// Runtime::open_read_invisible / validate_or_extend); nonzero means the
-  /// run observed a torn invisible-read snapshot even if the committed
-  /// history still linearizes. Read after workers have joined.
+  /// Ghost opacity-oracle reports collected this run before any free-run
+  /// (see DstmEngine::open_read_invisible / validate_or_extend and the
+  /// orec ghost checks); nonzero means the run observed a torn snapshot
+  /// even if the committed history still linearizes. Read after workers
+  /// have joined.
   std::uint64_t opacity_violations() const noexcept {
     return opacity_violations_.load(std::memory_order_acquire);
   }
@@ -114,8 +117,8 @@ class VirtualExecutor final : public SchedulerHook {
   std::vector<Decision> log_;
   std::atomic<bool> free_run_{false};
   std::atomic<std::int64_t> vnow_;
-  // Atomic despite the token: reports can also arrive while free-running
-  // (over budget), where no token serializes the callers.
+  // Atomic for the reader after the join; reports are counted only while
+  // the token serializes their callers (never in free-run).
   std::atomic<std::uint64_t> opacity_violations_{0};
   std::atomic<const char*> first_opacity_what_{nullptr};
   std::atomic<std::uint64_t> park_deadlocks_{0};

@@ -59,6 +59,13 @@ class WaitHooks {
   /// operation, a no-op under the deterministic checker (whose serialized
   /// executor owns all interleaving; a raw yield there is schedule-impure).
   virtual void yield_safe() noexcept = 0;
+
+  /// Waits, unbounded, until `enemy` leaves Active: for managers that order
+  /// a whole attempt behind another (Steal-On-Abort). Parks or yields, and
+  /// under the deterministic checker hands the token on each round, since
+  /// the enemy cannot finish while this thread holds it.
+  virtual void wait_until_inactive(stm::ThreadCtx& self, const stm::TxDesc& tx,
+                                   const stm::TxDesc& enemy) noexcept = 0;
 };
 
 class ContentionManager {

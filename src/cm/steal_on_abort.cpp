@@ -24,8 +24,14 @@ void StealOnAbort::on_begin(stm::ThreadCtx& self, stm::TxDesc& tx, bool is_retry
   (void)tx, (void)is_retry;
   PerThread& st = *state_[self.slot()];
   if (st.aborter != nullptr) {
-    // We were stolen: wait until the transaction that aborted us finished.
-    while (st.aborter->is_active()) std::this_thread::yield();
+    // We were stolen: wait until the transaction that aborted us finished
+    // (through the runtime's hook when attached, so the checker can
+    // schedule the aborter meanwhile).
+    if (waiter_ != nullptr) {
+      waiter_->wait_until_inactive(self, tx, *st.aborter);
+    } else {
+      while (st.aborter->is_active()) std::this_thread::yield();
+    }
     st.aborter->release();
     st.aborter = nullptr;
   }

@@ -100,7 +100,11 @@ void Handle::free_bin(Bin& bin) {
 }
 
 void Handle::retire(void* ptr, void (*deleter)(void*)) {
-  const std::uint64_t e = domain_->global_epoch_.load(std::memory_order_acquire);
+  // seq_cst: the caller's unlinking store, when seq_cst too, precedes this
+  // load in the single total order, so a thread that could still load the
+  // unlinked pointer read the epoch before this load did and is pinned no
+  // later than the tag (the descriptor publication argument, DESIGN.md §5).
+  const std::uint64_t e = domain_->global_epoch_.load(std::memory_order_seq_cst);
   Bin& bin = bins_[e % bins_.size()];
   if (bin.epoch != e) {
     // The bin was last used at e - 3k (k >= 1), i.e. at least two epochs
@@ -180,6 +184,19 @@ bool Domain::try_advance() noexcept {
   }
   std::uint64_t expected = e;
   return global_epoch_.compare_exchange_strong(expected, e + 1, std::memory_order_acq_rel);
+}
+
+bool Domain::any_pinned() const noexcept {
+  for (unsigned shard = 0; shard < kShards; ++shard) {
+    // The hint is raised before a handle's first pin (seq_cst, see Shard),
+    // so reading 0 orders this scan before any pin in the shard.
+    if (shards_[shard].attached.load(std::memory_order_seq_cst) == 0) continue;
+    const unsigned base = shard * kSlotsPerShard;
+    for (unsigned j = 0; j < kSlotsPerShard; ++j) {
+      if ((slots_[base + j]->load(std::memory_order_seq_cst) & 1ULL) != 0) return true;
+    }
+  }
+  return false;
 }
 
 void Domain::drain() {

@@ -169,6 +169,12 @@ class Domain {
   /// (quiescence) — used between benchmark phases and in tests.
   void drain();
 
+  /// True when some attached handle is pinned. The slot loads are seq_cst,
+  /// so a caller that makes a seq_cst store before the scan forms a Dekker
+  /// pair with pin(): either the scan sees the pin, or the pinning thread's
+  /// next seq_cst load sees the store (Runtime::shutdown's gate).
+  bool any_pinned() const noexcept;
+
  private:
   friend class Handle;
 

@@ -47,8 +47,10 @@ class Backend {
   virtual void attach(ThreadCtx& tc) = 0;
 
   /// Attempt-local engine state reset (snapshot establishment, log reset).
-  /// Called by Runtime::begin_attempt after the descriptor is published and
-  /// before the CM's on_begin hook.
+  /// Called by Runtime::begin_attempt once the attempt is pinned and its
+  /// descriptor set up (published already on DSTM and under the liveness
+  /// layer; orec publishes lazily, DESIGN.md §5), before the CM's on_begin
+  /// hook.
   virtual void begin(ThreadCtx& tc) = 0;
 
   /// Resolve a transactional read to a payload the attempt may dereference

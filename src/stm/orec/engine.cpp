@@ -139,7 +139,9 @@ const void* OrecEngine::read_consistent(ThreadCtx& tc, TObjectBase& obj,
       // at encounter time, DSTM-eager style: its validation then trivially
       // passes (everything is locked by itself), enemies wait or lose at
       // their own opens, and nobody can steal the locks (try_abort refuses
-      // irrevocable targets).
+      // irrevocable targets). The liveness layer published the descriptor
+      // at begin already; the call keeps every lock CAS behind a publish.
+      rt_.publish(tc);
       std::uint64_t expected = w1;
       if (!orec.compare_exchange_strong(expected, OrecTable::pack_owner(me),
                                         std::memory_order_seq_cst)) {
@@ -304,6 +306,9 @@ void* OrecEngine::open_write(ThreadCtx& tc, TObjectBase& obj) {
 void OrecEngine::acquire_locks(ThreadCtx& tc) {
   TxLogs& lg = logs(tc);
   TxDesc* me = tc.current_;
+  // A lock word names its owner: the descriptor must be published (and so
+  // EBR-protected) before the first CAS can expose it.
+  rt_.publish(tc);
   // Canonical global order (orec address) makes concurrent committers
   // deadlock-free; objects hashed to one orec collapse to a single lock
   // (equal pointers sort adjacent and are skipped).
@@ -372,8 +377,15 @@ bool OrecEngine::commit(ThreadCtx& tc) {
   if (rt_.chaos_ != nullptr) [[unlikely]] rt_.chaos_at_commit(tc);
   if (lg.writes.empty()) {
     // Read-only: every read was rv-consistent at open, so the attempt
-    // serializes at its last extension (or begin). The status CAS is still
-    // required — a remote kill must not be reported as a commit.
+    // serializes at its last extension (or begin).
+    if (!tc.published()) {
+      // No other thread holds this descriptor's address: there is no
+      // remote kill to detect and no waiter to wake (DESIGN.md §5).
+      me->status.store(TxStatus::kCommitted, std::memory_order_relaxed);
+      return true;
+    }
+    // Published (it met a conflict): the status CAS is required — a
+    // remote kill must not be reported as a commit.
     TxStatus expected = TxStatus::kActive;
     const bool won = me->status.compare_exchange_strong(expected, TxStatus::kCommitted,
                                                         std::memory_order_seq_cst);

@@ -34,6 +34,7 @@ Runtime::Runtime(cm::ManagerPtr manager, Config config)
   // probe) then keep the decision without forwarding anything new.
   clocked_ = cm::is_timed_manager(manager_->name()) || config_.liveness.enabled ||
              config_.recorder != nullptr;
+  publish_at_begin_ = config_.backend != BackendKind::kOrec || config_.liveness.enabled;
   manager_->attach_recorder(config_.recorder);
   manager_->attach_wait_hooks(&park_waiter_);
   for (auto& p : parked_on_) p->store(-1, std::memory_order_relaxed);
@@ -88,26 +89,24 @@ void Runtime::shutdown() noexcept {
   } catch (...) {
   }
   for (;;) {
-    bool active = false;
-    for (unsigned i = 0; i < kMaxThreads; ++i) {
-      if (attempt_active_[i]->load(std::memory_order_seq_cst) != 0) {
-        active = true;
-        break;
-      }
-    }
-    if (!active) break;
+    // The other half of begin_attempt's gate: every attempt runs pinned,
+    // so a scan (seq_cst loads after the seq_cst store of stopping_) that
+    // finds no pinned handle has seen every attempt that missed the flag
+    // finish. The watchdog's and a concurrent shutdown's brief pins only
+    // extend the wait.
+    if (!ebr_.any_pinned()) break;
     if (config_.shutdown_drain_timeout_ns > 0 && now_ns() >= deadline) break;
     if (have_scratch) {
       // Abort in-flight stragglers so contention-manager waits unwind into
       // the retry loop, where the stopping gate turns them into
       // RuntimeStoppedError. Irrevocable holders refuse the kill and drain
-      // by committing.
+      // by committing. Only published attempts can be waiting on anyone:
+      // an unpublished one holds no lock and never arbitrated, and
+      // finishes by itself.
       scratch.pin();
       for (unsigned i = 0; i < kMaxThreads; ++i) {
-        if (attempt_active_[i]->load(std::memory_order_acquire) == 0) continue;
-        if (TxDesc* d = current_tx_[i]->load(std::memory_order_acquire)) {
-          if (d->try_abort()) signal_status_change(nullptr, d);
-        }
+        TxDesc* d = tx_of_slot(i);
+        if (d != nullptr && d->is_active() && d->try_abort()) signal_status_change(nullptr, d);
       }
       scratch.unpin();
     }
@@ -122,7 +121,7 @@ void Runtime::watchdog_kick(unsigned slot) {
   // A stalled attempt holds objects open; aborting it lets conflicting
   // threads proceed, and the victim unwinds at its next schedule point.
   // try_abort refuses irrevocable holders by itself.
-  if (TxDesc* d = current_tx_[slot]->load(std::memory_order_acquire)) {
+  if (TxDesc* d = tx_of_slot(slot)) {
     if (d->try_abort()) signal_status_change(nullptr, d);
   }
   watchdog_ebr_.unpin();
@@ -161,6 +160,11 @@ void Runtime::detach_locked(ThreadCtx& tc) {
   // serializes detach with workload completion).
   TxDesc* prev = current_tx_[slot]->exchange(nullptr, std::memory_order_acq_rel);
   if (prev != nullptr) prev->release();
+  if (tc.spare_ != nullptr) {
+    tc.spare_->~TxDesc();
+    util::Pool::deallocate(tc.spare_);
+    tc.spare_ = nullptr;
+  }
   tc.detached_ = true;
   // Release the EBR slot now (pending garbage moves to the domain) and park
   // the pool for the next attacher; the context itself is retired, not
@@ -235,22 +239,12 @@ std::uint32_t Runtime::liveness_pre_begin(ThreadCtx& tc, std::int64_t first_begi
 TxDesc* Runtime::begin_attempt(ThreadCtx& tc, std::int64_t first_begin, bool is_retry) {
   sched_point(check::Point::kBegin);  // no descriptor yet: directives ignored
 
-  // Shutdown gate, Dekker-paired with shutdown(): our seq_cst store of the
-  // active flag is ordered against its seq_cst store of stopping_, so
-  // either we observe stopping_ and refuse, or the drain loop observes our
-  // flag and waits for this attempt to finish.
-  attempt_active_[tc.slot_]->store(1, std::memory_order_seq_cst);
-  if (stopping_.load(std::memory_order_seq_cst)) [[unlikely]] {
-    attempt_active_[tc.slot_]->store(0, std::memory_order_release);
-    throw resilience::RuntimeStoppedError(tc.slot_);
-  }
-
-  // Unwind protection until the descriptor is published: anything that
-  // throws in between (the liveness deadline check, the pool allocation,
-  // the retire-list chunk) must not leak the active flag — shutdown() would
-  // spin on it until the drain timeout — nor the EBR pin, nor the
-  // serial-fallback token, which has no other release path and would
-  // disable serial fallback for the rest of the run.
+  // Unwind protection until the attempt is set up: anything that throws in
+  // between (the liveness deadline check, the stopping gate, the pool
+  // allocation, the retire-list chunk) must not leak the EBR pin — shutdown()
+  // would wait on it until the drain timeout — nor the serial-fallback
+  // token, which has no other release path and would disable serial
+  // fallback for the rest of the run.
   struct BeginGuard {
     Runtime* rt;
     ThreadCtx* tc;
@@ -261,15 +255,36 @@ TxDesc* Runtime::begin_attempt(ThreadCtx& tc, std::int64_t first_begin, bool is_
         tc->attempt_irrevocable_ = false;
         rt->liveness_->release_token(tc->slot_);
       }
+      tc->current_ = nullptr;
       if (tc->ebr_.pinned()) tc->ebr_.unpin();
-      rt->attempt_active_[tc->slot_]->store(0, std::memory_order_release);
     }
   } guard{this, &tc};
 
+  // The escalation ladder runs first and unpinned: its backoff sleeps, and
+  // a pinned sleeper would hold up every thread's reclamation.
   std::uint32_t level = 0;
   if (liveness_ != nullptr) level = liveness_pre_begin(tc, first_begin);
 
-  auto* desc = new (util::Pool::allocate(tc.pool_, sizeof(TxDesc))) TxDesc();
+  // Shutdown gate, Dekker-paired with shutdown(): the pin is a seq_cst
+  // store ordered against its seq_cst store of stopping_, so either we
+  // observe stopping_ and refuse, or its scan of the EBR domain observes
+  // our pin and waits for this attempt to finish.
+  tc.ebr_.pin();
+  if (stopping_.load(std::memory_order_seq_cst)) [[unlikely]] {
+    throw resilience::RuntimeStoppedError(tc.slot_);
+  }
+
+  // The thread's never-published descriptor, reconstructed in place: no
+  // other thread holds its address (DESIGN.md §5). After a publication
+  // handed the previous one over, allocate a fresh one.
+  TxDesc* desc = tc.spare_;
+  if (desc != nullptr) {
+    desc->~TxDesc();
+    new (desc) TxDesc();
+  } else {
+    desc = new (util::Pool::allocate(tc.pool_, sizeof(TxDesc))) TxDesc();
+    tc.spare_ = desc;
+  }
   desc->thread_slot = tc.slot_;
   desc->serial = ++tc.serial_;
   if (tc.timed_) {
@@ -281,34 +296,17 @@ TxDesc* Runtime::begin_attempt(ThreadCtx& tc, std::int64_t first_begin, bool is_
   }
   if (level >= 2) {
     // Escalation state becomes visible to enemies with the descriptor
-    // itself: both fields are set before the publishing store below, so
-    // no enemy ever observes a half-escalated attempt. Level 1 is purely a
-    // backoff stage (already slept in liveness_pre_begin) and carries no
-    // arbitration boost.
+    // itself: both fields are set before publication, so no enemy ever
+    // observes a half-escalated attempt. Level 1 is purely a backoff stage
+    // (already slept in liveness_pre_begin) and carries no arbitration
+    // boost.
     desc->boost.store(level, std::memory_order_relaxed);
     if (tc.attempt_irrevocable_) desc->irrevocable.store(true, std::memory_order_relaxed);
   }
 
-  // Publish with both references in place: the slot pointer's (released
-  // via EBR when the next attempt replaces it) and the executing thread's.
-  // This thread is the slot's only writer while attached, so a plain load
-  // of the old value and a release store need no RMW.
-  desc->refs.store(2, std::memory_order_relaxed);
-  TxDesc* prev = current_tx_[tc.slot_]->load(std::memory_order_relaxed);
-  current_tx_[tc.slot_]->store(desc, std::memory_order_release);
-  // Pin only now, so that the publishing store is visible before retire()
-  // reads the epoch and an enemy still able to load `prev` is pinned in an
-  // epoch the retirement waits out. This is a hardware-mapping argument,
-  // not a C++ memory-model guarantee: a release store is outside the
-  // seq_cst total order, and only the x86, ARMv8 and POWER mappings of the
-  // pin's seq_cst store and epoch re-load keep the publishing store ahead
-  // of the epoch read. Neither TSan nor the serialized checker can detect
-  // a violation (DESIGN.md §5).
-  tc.ebr_.pin();
-  if (prev != nullptr) tc.ebr_.retire(prev, &release_desc_ref);
-
   tc.current_ = desc;
-  guard.armed = false;  // published: commit/abort cleanup owns the state now
+  if (publish_at_begin_) publish_spare(tc);
+  guard.armed = false;  // commit/abort cleanup owns the state now
   tc.waited_this_attempt_ = false;
   backend_->begin(tc);
   if (trace::Recorder* rec = config_.recorder) {
@@ -468,10 +466,24 @@ void Runtime::cleanup_attempt(ThreadCtx& tc, bool committed) {
   }
 
   tc.injected_abort_ = false;
+  // A published descriptor drops the executing thread's reference; the
+  // never-published one stays with the thread for the next attempt.
+  if (tc.published()) desc->release();
   tc.current_ = nullptr;
-  desc->release();  // the executing thread's reference
   tc.ebr_.unpin();
-  attempt_active_[tc.slot_]->store(0, std::memory_order_release);
+}
+
+void Runtime::publish_spare(ThreadCtx& tc) {
+  TxDesc* desc = tc.current_;
+  // Both references in place before anyone else can see the descriptor:
+  // the slot pointer's (released via EBR when a later publication replaces
+  // it) and the executing thread's. The exchange is seq_cst and the attempt
+  // is already pinned, so an enemy that can still load `prev` was pinned no
+  // later than the epoch retire() tags it with (DESIGN.md §5).
+  desc->refs.store(2, std::memory_order_relaxed);
+  TxDesc* prev = current_tx_[tc.slot_]->exchange(desc, std::memory_order_seq_cst);
+  tc.spare_ = nullptr;
+  if (prev != nullptr) tc.ebr_.retire(prev, &release_desc_ref);
 }
 
 void Runtime::note_conflict(ThreadCtx& tc, const TxDesc& enemy) {
@@ -507,6 +519,7 @@ void Runtime::abort_self(ThreadCtx& tc) {
 }
 
 Resolution Runtime::arbitrate(ThreadCtx& tc, TxDesc& me, TxDesc& enemy, ConflictKind kind) {
+  publish(tc);
   if (liveness_ == nullptr) [[likely]] {
     return manager_->resolve(tc, me, enemy, kind);
   }
@@ -605,6 +618,18 @@ bool Runtime::park_until_inactive(ThreadCtx& tc, const TxDesc& me, const TxDesc&
                 enemy_slot, static_cast<std::uint64_t>(woke - t0), enemy.serial);
   }
   return true;
+}
+
+void Runtime::wait_until_inactive(ThreadCtx& tc, const TxDesc& me,
+                                  const TxDesc& enemy) noexcept {
+  while (enemy.is_active()) {
+    if (park_until_inactive(tc, me, enemy, 100'000)) continue;
+    if (config_.checker != nullptr) {
+      sched_point(check::Point::kBegin);  // directives ignored, as at the top
+    } else {
+      std::this_thread::yield();
+    }
+  }
 }
 
 void Runtime::signal_status_change(ThreadCtx* tc, const TxDesc* desc) noexcept {

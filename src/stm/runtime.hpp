@@ -130,7 +130,10 @@ class ThreadCtx {
   Xoshiro256& rng() noexcept { return rng_; }
   Runtime& runtime() noexcept { return *rt_; }
   /// The attempt currently executing on this thread (null between
-  /// transactions). Enemies access descriptors via Runtime::tx_of_slot.
+  /// transactions). Until the attempt is exposed this is the thread's
+  /// never-published descriptor, which the next unexposed attempt reuses in
+  /// place (DESIGN.md §5); enemies only ever reach published descriptors,
+  /// through Runtime::tx_of_slot or an orec lock word.
   TxDesc* current() noexcept { return current_; }
 
  private:
@@ -147,6 +150,9 @@ class ThreadCtx {
   ThreadCtx(Runtime* rt, unsigned slot, ebr::Handle handle, std::uint64_t seed)
       : rt_(rt), slot_(slot), ebr_(std::move(handle)), rng_(seed) {}
 
+  /// The in-flight attempt's descriptor has been published (Runtime::publish).
+  bool published() const noexcept { return current_ != spare_; }
+
   Runtime* rt_;
   unsigned slot_;
   ebr::Handle ebr_;
@@ -156,6 +162,11 @@ class ThreadCtx {
   /// Set once by detach_thread; makes a second detach a safe no-op.
   bool detached_ = false;
   TxDesc* current_ = nullptr;
+  /// The thread's never-published descriptor: attempts run on it until
+  /// they are exposed, and it is reused in place while none is. publish()
+  /// hands it to current_tx_ and clears this; the next attempt allocates a
+  /// fresh one.
+  TxDesc* spare_ = nullptr;
   std::uint64_t serial_ = 0;
   /// Logical transactions begun on this thread (the timing sample clock).
   std::uint64_t logical_txs_ = 0;
@@ -358,11 +369,14 @@ class Runtime {
   cm::ContentionManager& manager() noexcept { return *manager_; }
   ebr::Domain& ebr_domain() noexcept { return ebr_; }
 
-  /// The currently-published attempt of thread `slot` (may be finished; may
-  /// be null). Only call while pinned (i.e. inside a transaction) — the
-  /// pointer is protected by EBR.
+  /// The descriptor thread `slot` published last (may be null). It is the
+  /// in-flight attempt only if that attempt was exposed (DESIGN.md §5):
+  /// an orec attempt that took no lock and never arbitrated leaves the
+  /// previous one here, finished. Dereference only while pinned (i.e.
+  /// inside a transaction) — the pointer is protected by EBR. seq_cst pairs
+  /// with publish()'s exchange in the argument of DESIGN.md §5.
   TxDesc* tx_of_slot(unsigned slot) noexcept {
-    return current_tx_[slot]->load(std::memory_order_acquire);
+    return current_tx_[slot]->load(std::memory_order_seq_cst);
   }
 
   /// Runs `fn(Tx&)` as a transaction, retrying on aborts until it commits.
@@ -409,9 +423,10 @@ class Runtime {
 
   /// Quiescence-safe teardown, also run by the destructor. Marks the
   /// runtime as stopping (any later begin_attempt throws
-  /// resilience::RuntimeStoppedError), then drains in-flight attempts with
-  /// a bounded timeout (RuntimeConfig::shutdown_drain_timeout_ns), kicking
-  /// non-irrevocable stragglers via try_abort so contention-manager waits
+  /// resilience::RuntimeStoppedError), then drains in-flight attempts — the
+  /// EBR domain's pinned handles — with a bounded timeout
+  /// (RuntimeConfig::shutdown_drain_timeout_ns), kicking non-irrevocable
+  /// published stragglers via try_abort so contention-manager waits
   /// unwind. Idempotent and safe to call concurrently with workers; callers
   /// must still stop *invoking* atomically() (i.e. observe the error and
   /// exit their loops) before the Runtime object itself is destroyed.
@@ -497,8 +512,22 @@ class Runtime {
   /// Conflict arbitration front end: plain manager resolve() when the
   /// liveness layer is off; otherwise irrevocability short-circuits
   /// (an irrevocable self wins, an irrevocable enemy is waited on) and
-  /// escalation boosts override the manager (resolve_with_boost).
+  /// escalation boosts override the manager (resolve_with_boost). Publishes
+  /// `me` first: a manager may keep it (Steal-On-Abort's aborted_by, a
+  /// park's ParkEdge).
   Resolution arbitrate(ThreadCtx& tc, TxDesc& me, TxDesc& enemy, ConflictKind kind);
+
+  /// Exposure (DESIGN.md §5): makes the in-flight attempt's descriptor
+  /// reachable by other threads. Called just before another thread could
+  /// first learn its address — at begin on DSTM and under the liveness
+  /// layer, before a lock CAS or an arbitrate() on orec. No-op once the
+  /// attempt is published.
+  void publish(ThreadCtx& tc) {
+    if (!tc.published()) publish_spare(tc);
+  }
+  /// publish() body: one seq_cst exchange into current_tx_, then the EBR
+  /// retirement of the descriptor it replaces. Requires the pin.
+  void publish_spare(ThreadCtx& tc);
 
   // ---- requester-waits arbitration (DESIGN.md §13) ------------------------
 
@@ -515,6 +544,12 @@ class Runtime {
   void yield_safe() noexcept {
     if (config_.checker == nullptr) std::this_thread::yield();
   }
+
+  /// cm::WaitHooks body: parks or yields until `enemy` leaves Active. Under
+  /// the checker each round that does not park is a kBegin schedule point
+  /// (the wait sits in begin_attempt's on_begin), so the enemy gets the
+  /// token and can finish.
+  void wait_until_inactive(ThreadCtx& tc, const TxDesc& me, const TxDesc& enemy) noexcept;
 
   /// Unpark edge: called right after any status transition of `desc`
   /// (commit CAS, self-abort, enemy kill, watchdog kick, shutdown drain).
@@ -560,6 +595,11 @@ class Runtime {
   /// cm::is_timed_manager), the liveness layer or a trace recorder. Fixed
   /// at construction.
   bool clocked_ = true;
+  /// Every attempt is exposed at begin: DSTM hands its descriptor to
+  /// locators, reader stripes and the commit-pending slots on every open,
+  /// and the liveness watchdog kicks attempts through current_tx_. Fixed at
+  /// construction; false only for orec without the liveness layer.
+  bool publish_at_begin_ = true;
   /// The execution engine (DstmEngine or OrecEngine per config_.backend),
   /// constructed once in the ctor; never null after construction.
   std::unique_ptr<Backend> backend_;
@@ -590,11 +630,10 @@ class Runtime {
   /// Absent (never attached) when the domain had no free slot.
   ebr::Handle watchdog_ebr_;
 
-  // Shutdown gate: Dekker-style with the per-slot attempt_active_ flags
-  // (begin_attempt stores its flag seq_cst then loads stopping_; shutdown
-  // stores stopping_ seq_cst then scans the flags).
+  // Shutdown gate: Dekker-style with the EBR pin (begin_attempt pins, a
+  // seq_cst store, then loads stopping_; shutdown stores stopping_ seq_cst
+  // then scans the domain for pinned handles).
   std::atomic<bool> stopping_{false};
-  std::array<CacheAligned<std::atomic<std::uint8_t>>, kMaxThreads> attempt_active_{};
 
   // ---- requester-waits state (DESIGN.md §13; inert in abort mode) ---------
 
@@ -608,6 +647,10 @@ class Runtime {
       return rt_->park_until_inactive(self, tx, enemy, max_wait_ns);
     }
     void yield_safe() noexcept override { rt_->yield_safe(); }
+    void wait_until_inactive(ThreadCtx& self, const TxDesc& tx,
+                             const TxDesc& enemy) noexcept override {
+      rt_->wait_until_inactive(self, tx, enemy);
+    }
 
    private:
     Runtime* rt_;

@@ -1,12 +1,18 @@
 // Transaction descriptors.
 //
-// A TxDesc is allocated per attempt (like DSTM's per-attempt Transaction
-// objects) out of the owning thread's pool and is shared state: locators
-// point at it, and enemy threads read/CAS its status and read its priority
-// fields. It is reclaimed by reference count — one reference held by the
-// executing thread for the duration of the attempt, plus one per locator
-// that names it as owner (dropped when the locator itself is reclaimed
-// through EBR) — and recycled through the pool when the count hits zero.
+// Every attempt runs on a TxDesc from the owning thread's pool. Until the
+// attempt is exposed — the first moment another thread could learn its
+// address (DESIGN.md §5) — it is the thread's never-published descriptor,
+// reused in place by the next unexposed attempt. Runtime::publish makes it
+// shared state, like DSTM's per-attempt Transaction objects: the thread's
+// published slot, locators and orec lock words point at it, and enemy
+// threads read/CAS its status and read its priority fields. A published
+// descriptor is never reused in place. It is reclaimed by reference count —
+// the published slot's reference (dropped through EBR when a later
+// publication replaces it), one held by the executing thread for the rest
+// of the attempt, plus one per locator that names it as owner (dropped when
+// the locator itself is reclaimed through EBR) — and recycled through the
+// pool when the count hits zero.
 #pragma once
 
 #include <atomic>
@@ -58,7 +64,8 @@ struct alignas(kCacheLine) TxDesc {
   /// Escalation-ladder priority boost (0 = none). Read by enemies through
   /// ContentionManager::resolve_with_boost: a higher boost wins outright,
   /// regardless of the manager's own policy. Written only by the owning
-  /// thread before the descriptor is published.
+  /// thread before the descriptor is published (the liveness layer
+  /// publishes at begin).
   std::atomic<std::uint32_t> boost{0};
   /// Serial-fallback mode: the holder of the global irrevocable token
   /// cannot be aborted by enemies (try_abort refuses), so its conflicts
@@ -84,7 +91,8 @@ struct alignas(kCacheLine) TxDesc {
   /// last, then drops the reference of any aborter still registered.
   /// Runtime-created descriptors live in pool blocks (see
   /// Runtime::begin_attempt); a remote release routes the block back to the
-  /// owning thread's pool through its remote-free stack.
+  /// owning thread's pool through its remote-free stack. Only published
+  /// descriptors are released; the never-published one is reused.
   void release() noexcept {
     TxDesc* d = this;
     // A loop, not recursion: each freed descriptor hands on one reference.

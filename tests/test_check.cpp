@@ -5,10 +5,13 @@
 
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "check/checker.hpp"
+#include "check/executor.hpp"
 #include "check/history.hpp"
+#include "check/policy.hpp"
 #include "check/schedule.hpp"
 
 namespace {
@@ -241,6 +244,44 @@ TEST(CheckerFaults, InjectedAbortsAreCountedAndHarmless) {
     injected += r.metrics.injected_aborts;
   }
   EXPECT_GT(injected, 0u) << "fault injector never fired at p=0.1";
+}
+
+// ---- step budget -----------------------------------------------------------
+
+// An over-budget run's verdict is void (executor.hpp), and the ghost opacity
+// checks assume token-serialized execution: a report counts while the token
+// is held and is dropped once the budget has flipped the executor to
+// free-run.
+TEST(CheckerBudget, GhostReportsCountOnlyBeforeFreeRun) {
+  check::RandomWalkPolicy policy(1, check::FaultOptions{});
+  check::VirtualExecutor exec(/*num_threads=*/1, policy, /*max_steps=*/2, /*tick_ns=*/1000);
+  std::thread worker([&] {
+    exec.register_thread(0);  // decision 1 of 2: the token is held
+    exec.on_opacity_violation("serialized");
+    exec.on_point(check::Point::kBegin, nullptr);  // decision 2: free-run
+    exec.on_opacity_violation("free-run");
+    exec.thread_done();
+  });
+  worker.join();
+  EXPECT_TRUE(exec.over_budget());
+  EXPECT_EQ(exec.opacity_violations(), 1u);
+  EXPECT_STREQ(exec.first_opacity_violation(), "serialized");
+}
+
+// End to end: contended orec runs whose budget runs out almost at once
+// execute nearly everything concurrently, where the ghost checks would race
+// the other workers. They report over budget, and no ghost violation.
+TEST(CheckerBudget, TinyBudgetRunReportsNoGhostViolation) {
+  CheckConfig c = small_config();
+  c.backend = "orec";
+  c.arbitration = "wait";
+  c.ops_per_thread = 14;
+  c.max_steps = 6;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const RunResult r = Checker(c).run_once(seed);
+    EXPECT_TRUE(r.over_budget) << "seed " << seed;
+    EXPECT_EQ(r.diagnosis.find("opacity"), std::string::npos) << r.diagnosis;
+  }
 }
 
 // ---- seeded bugs -----------------------------------------------------------

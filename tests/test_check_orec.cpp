@@ -80,6 +80,23 @@ TEST(OrecChecker, ExplorationIsCleanOnAllWindowVariants) {
   }
 }
 
+// Steal-On-Abort is the one manager that keeps the requester's descriptor
+// (it registers `me` as the victim's aborter, with a reference), so an orec
+// attempt must be published before any arbitrate(). Exploration must stay
+// clean in both arbitration modes; the victim's wait for its aborter hands
+// the executor's token on, so the aborter can finish.
+TEST(OrecChecker, StealOnAbortExplorationIsCleanInBothModes) {
+  for (const char* mode : {"abort", "wait"}) {
+    CheckConfig c = orec_check_config("Steal-On-Abort");
+    c.arbitration = mode;
+    c.key_range = 12;  // contended: kills, and hence registrations, are common
+    Checker checker(c);
+    const ExploreResult er = checker.explore(8);
+    EXPECT_EQ(er.violations, 0u) << mode << ": " << er.first_violation.diagnosis;
+    EXPECT_EQ(er.schedules_run, 8u) << mode;
+  }
+}
+
 // Spurious injected aborts at the new points (policy abort_applies covers
 // kOrecLock/kOrecValidate) must be survivable: the engine releases held
 // commit locks on the injected abort and the run stays clean.

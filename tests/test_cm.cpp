@@ -185,6 +185,8 @@ TEST_F(CmTest, PolkaClampsBackoffTraceWhenClockRewinds) {
       return true;
     }
     void yield_safe() noexcept override {}
+    void wait_until_inactive(stm::ThreadCtx&, const stm::TxDesc&,
+                             const stm::TxDesc&) noexcept override {}
   };
 
   Polka cm;

@@ -56,6 +56,25 @@ TEST_F(EbrTest, PinnedThreadBlocksAdvance) {
   b.detach();
 }
 
+// The pinned-handle scan behind Runtime::shutdown's gate: it sees a pin in
+// any shard, stops seeing it at unpin, and ignores detached handles.
+TEST_F(EbrTest, AnyPinnedSeesEveryPinnedHandle) {
+  Domain domain;
+  EXPECT_FALSE(domain.any_pinned());
+  std::vector<Handle> handles;
+  for (int i = 0; i < 20; ++i) handles.push_back(domain.attach());
+  EXPECT_FALSE(domain.any_pinned());
+  for (Handle& h : handles) {
+    h.pin();
+    EXPECT_TRUE(domain.any_pinned());
+    h.unpin();
+    EXPECT_FALSE(domain.any_pinned());
+  }
+  handles.back().pin();
+  handles.back().detach();  // detaching unpins
+  EXPECT_FALSE(domain.any_pinned());
+}
+
 TEST_F(EbrTest, DetachMovesGarbageToOrphans) {
   {
     Domain domain;

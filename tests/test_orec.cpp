@@ -54,6 +54,35 @@ TEST(OrecBasic, ReadWriteCommitAndParse) {
   EXPECT_EQ(m.orec_lock_acquires, 2u);
 }
 
+// Lazy publication (DESIGN.md §5): an orec attempt that takes no lock and
+// never arbitrates runs on its thread's never-published descriptor, reused in
+// place, and leaves the thread's published slot alone. A write publishes.
+TEST(OrecBasic, ReadOnlyAttemptsPublishNothing) {
+  auto rt = make_orec_runtime();
+  ThreadCtx& tc = rt->attach_thread();
+  TObject<long> obj(1);
+  rt->atomically(tc, [&](Tx& tx) { *obj.open_write(tx) = 2; });
+  const TxDesc* writer = rt->tx_of_slot(tc.slot());
+  ASSERT_NE(writer, nullptr);
+
+  const TxDesc* reused = nullptr;
+  for (int i = 0; i < 100; ++i) {
+    const long v = rt->atomically(tc, [&](Tx& tx) {
+      if (reused == nullptr) reused = &tx.desc();
+      EXPECT_EQ(&tx.desc(), reused) << "transaction " << i;
+      return *obj.open_read(tx);
+    });
+    EXPECT_EQ(v, 2);
+    EXPECT_EQ(rt->tx_of_slot(tc.slot()), writer) << "transaction " << i;
+  }
+  EXPECT_NE(reused, writer);
+
+  rt->atomically(tc, [&](Tx& tx) { *obj.open_write(tx) = 3; });
+  EXPECT_NE(rt->tx_of_slot(tc.slot()), writer);
+  EXPECT_EQ(rt->tx_of_slot(tc.slot()), reused) << "the write publishes the spare";
+  EXPECT_EQ(rt->total_metrics().commits, 102u);
+}
+
 TEST(OrecBasic, ReadYourWritesAndUpgrade) {
   auto rt = make_orec_runtime();
   ThreadCtx& tc = rt->attach_thread();

@@ -319,25 +319,48 @@ TEST(Watchdog, KicksStalledTransactionWhichThenCommits) {
 
 // ---- quiescence-safe shutdown ----------------------------------------------
 
-TEST(Shutdown, DrainsInFlightTransactionsAndRefusesNewOnes) {
+class Shutdown : public ::testing::TestWithParam<const char*> {};
+
+INSTANTIATE_TEST_SUITE_P(Backends, Shutdown, ::testing::Values("dstm", "orec"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           return std::string(info.param);
+                         });
+
+// Half the workers run read-only bodies, so on orec the shutdown also lands
+// on attempts that never published a descriptor: the gate is the EBR pin,
+// not the published slot.
+TEST_P(Shutdown, DrainsInFlightTransactionsAndRefusesNewOnes) {
   cm::Params params;
   params.threads = 4;
-  auto rt = std::make_unique<Runtime>(cm::make_manager("Polka", params));
+  stm::RuntimeConfig cfg;
+  cfg.backend = stm::parse_backend(GetParam());
+  auto rt = std::make_unique<Runtime>(cm::make_manager("Polka", params), cfg);
   TObject<Cell> counter(Cell{0});
 
   constexpr unsigned kThreads = 4;
   std::atomic<unsigned> saw_stop{0};
+  std::atomic<long> increments{0};
+  std::atomic<long> reads{0};
   std::vector<std::thread> workers;
   for (unsigned t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&] {
+    workers.emplace_back([&, reader = t % 2 == 1] {
       ThreadCtx& tc = rt->attach_thread();
       try {
         for (;;) {
-          rt->atomically(tc, [&](Tx& tx) {
-            Cell* c = counter.open_write(tx);
-            spin_ns(5'000);  // keep attempts in flight while shutdown lands
-            c->value += 1;
-          });
+          if (reader) {
+            rt->atomically(tc, [&](Tx& tx) {
+              (void)counter.open_read(tx);
+              spin_ns(5'000);  // keep attempts in flight while shutdown lands
+            });
+            reads.fetch_add(1, std::memory_order_relaxed);
+          } else {
+            rt->atomically(tc, [&](Tx& tx) {
+              Cell* c = counter.open_write(tx);
+              spin_ns(5'000);
+              c->value += 1;
+            });
+            increments.fetch_add(1, std::memory_order_relaxed);
+          }
         }
       } catch (const RuntimeStoppedError&) {
         saw_stop.fetch_add(1, std::memory_order_acq_rel);
@@ -345,16 +368,19 @@ TEST(Shutdown, DrainsInFlightTransactionsAndRefusesNewOnes) {
     });
   }
 
-  std::this_thread::sleep_for(std::chrono::milliseconds(8));
+  // Both kinds of body have committed, and every worker is still looping:
+  // the shutdown lands mid-flight without relying on how long that took.
+  while (increments.load(std::memory_order_relaxed) == 0 ||
+         reads.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
   rt->shutdown();  // mid-flight: workers must unwind, not hang or corrupt
   rt->shutdown();  // idempotent
   for (auto& w : workers) w.join();
 
   EXPECT_EQ(saw_stop.load(), kThreads);
   EXPECT_TRUE(rt->stopping());
-  EXPECT_GT(rt->total_metrics().commits, 0u);
-  const long value = counter.peek()->value;
-  EXPECT_EQ(static_cast<std::uint64_t>(value), rt->total_metrics().commits)
+  EXPECT_EQ(counter.peek()->value, increments.load())
       << "a drained/refused attempt leaked a partial update";
   rt.reset();  // destroy with workers gone: must not hang or double-free
 }

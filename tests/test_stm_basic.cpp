@@ -31,6 +31,28 @@ TEST(StmBasic, CommitMakesWritesVisible) {
   EXPECT_EQ(seen, 42);
 }
 
+// DSTM exposes its descriptor on every open (locator owner, reader stripes,
+// commit-pending slot), so it publishes at begin: every transaction, read-only
+// and empty ones included, changes the thread's published descriptor.
+TEST(StmBasic, DstmPublishesEveryAttempt) {
+  auto rt = make_runtime("Polka");
+  ThreadCtx& tc = rt->attach_thread();
+  TObject<Box> obj(Box{1});
+  const TxDesc* prev = rt->tx_of_slot(tc.slot());
+  for (int i = 0; i < 30; ++i) {
+    const TxDesc* seen = nullptr;
+    rt->atomically(tc, [&](Tx& tx) {
+      seen = &tx.desc();
+      if (i % 3 == 1) (void)obj.open_read(tx)->value;
+      if (i % 3 == 2) obj.open_write(tx)->value = i;
+    });
+    const TxDesc* now = rt->tx_of_slot(tc.slot());
+    EXPECT_NE(now, prev) << "transaction " << i;
+    EXPECT_EQ(now, seen) << "transaction " << i;
+    prev = now;
+  }
+}
+
 TEST(StmBasic, ReturnValuePropagates) {
   auto rt = make_runtime();
   ThreadCtx& tc = rt->attach_thread();

@@ -24,7 +24,12 @@ Modes:
   that clause from passing vacuously: `BM_NowNs` must count one read per
   now_ns() call (the interposer sees the library's clock), and the Greedy
   rows, which arbitrate on the first attempt's timestamp, must still read
-  at least once per transaction.
+  at least once per transaction. The same rows report publishes_per_tx,
+  how often a transaction publishes its descriptor: the unexposed orec
+  rows (`BM_EmptyTransaction/orec`, `BM_ReadOneObject/orec`) must publish
+  never, and the rows that must publish every time (each /dstm and
+  /dstm_greedy row, `BM_WriteOneObject/orec`) are the self-check that the
+  probe sees publications at all.
 
 * --mode scaling (BENCH_scaling.json, from bench/fig_scaling_matrix --json):
   the shared commit-clock line must actually go quiet under the deferred
@@ -174,8 +179,15 @@ FIXED_COST_ROWS = ("BM_EmptyTransaction", "BM_ReadOneObject", "BM_WriteOneObject
 MAX_CLOCK_READS_PER_TX = 0.05
 
 
+# Fixed-cost rows whose transactions are never exposed: an orec attempt
+# that takes no lock and never arbitrates runs on its thread's
+# never-published descriptor.
+UNEXPOSED_ROWS = ("BM_EmptyTransaction/orec", "BM_ReadOneObject/orec")
+
+
 def gate_clock(report) -> int:
-    """Polka fixed-cost rows read the clock only for the metrics sample."""
+    """Polka fixed-cost rows read the clock only for the metrics sample,
+    and only exposed transactions publish a descriptor."""
     rows = {
         b.get("name", ""): b
         for b in report["benchmarks"]
@@ -190,6 +202,9 @@ def gate_clock(report) -> int:
             (f"{bench}/orec", "clock_reads_per_tx", 0.0, MAX_CLOCK_READS_PER_TX),
             (f"{bench}/dstm_greedy", "clock_reads_per_tx", 1.0, float("inf")),
         ]
+        for row in (f"{bench}/dstm", f"{bench}/orec", f"{bench}/dstm_greedy"):
+            want = 0.0 if row in UNEXPOSED_ROWS else 1.0
+            checks.append((row, "publishes_per_tx", want, want))
     failed = False
     for name, key, lo, hi in checks:
         value = rows.get(name, {}).get(key)
