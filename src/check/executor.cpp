@@ -67,8 +67,7 @@ Action VirtualExecutor::on_point(Point p, const void* object) noexcept {
       if (blocked_on_[i] == object) blocked_on_[i] = nullptr;
     }
   } else if (p == Point::kPark && object != nullptr) {
-    const auto* edge = static_cast<const ParkEdge*>(object);
-    blocked_on_[static_cast<std::size_t>(vid)] = edge->enemy;
+    blocked_on_[static_cast<std::size_t>(vid)] = object;
   }
   state_[static_cast<std::size_t>(vid)] = State::kWaiting;
   parked_[static_cast<std::size_t>(vid)] = p;

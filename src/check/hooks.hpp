@@ -34,7 +34,7 @@ enum class Point : std::uint8_t {
   kOrecLock,         // orec backend: each commit-time lock-acquire iteration
   kOrecValidate,     // orec backend: each read-set validation entry check
   kPark,             // requester-waits arbitration: a transaction parks on an
-                     // enemy descriptor (object = ParkEdge). The executor
+                     // enemy descriptor (object = that TxDesc). The executor
                      // marks the thread blocked-on-enemy; it becomes
                      // ineligible until a matching kUnpark (or the
                      // lost-wakeup oracle force-wakes it).
@@ -45,14 +45,6 @@ enum class Point : std::uint8_t {
 inline constexpr unsigned kNumPoints = 12;
 
 const char* point_name(Point p) noexcept;
-
-/// Payload handed to on_point at kPark: which descriptor is about to wait on
-/// which enemy. Pointers are valid for the duration of the call only (the
-/// caller holds an EBR pin / owns `self`).
-struct ParkEdge {
-  const void* self = nullptr;   ///< parking TxDesc
-  const void* enemy = nullptr;  ///< descriptor whose completion wakes it
-};
 
 /// What the checker tells the arriving thread to do as it resumes.
 enum class Action : std::uint8_t {

@@ -1,17 +1,12 @@
 // The classic contention managers the paper compares against (Section
-// III-A) plus the other managers from the DSTM/DSTM2 literature that the
-// paper cites — useful as additional baselines and in the ablation benches.
+// III-A), plus two kept for the ablation benches and the tests.
 //
-//   Polka       — Karma priorities + exponential backoff while waiting; the
+//   Polka       — karma priorities + exponential backoff while waiting; the
 //                 "published best" CM (Scherer & Scott, PODC'05).
 //   Greedy      — static timestamps, abort the younger unless the older is
 //                 waiting (Guerraoui, Herlihy, Pochon, PODC'05).
 //   Priority    — static timestamps, younger always aborts itself.
-//   Karma       — accrued-work priorities, fixed backoff while out-ranked.
-//   Polite      — exponential backoff N times, then abort the enemy.
 //   Aggressive  — always abort the enemy.
-//   Timestamp   — like Greedy but with a bounded patience instead of the
-//                 waiting flag.
 //   RandomizedRounds — random priorities redrawn after every abort
 //                 (Schneider & Wattenhofer, DISC'09); the subroutine the
 //                 window Online algorithm builds on.
@@ -39,8 +34,8 @@ class Polka final : public ContentionManager {
   void on_commit(stm::ThreadCtx& self, stm::TxDesc& tx) override;
 
  private:
-  // Karma persists across the retries of one logical transaction.
-  std::array<CacheAligned<std::uint32_t>, 64> saved_karma_{};
+  // The accrued karma persists across the retries of one logical transaction.
+  std::array<CacheAligned<std::uint32_t>, stm::kMaxThreads> saved_karma_{};
 };
 
 class Greedy final : public ContentionManager {
@@ -57,72 +52,11 @@ class Priority final : public ContentionManager {
                           stm::ConflictKind kind) override;
 };
 
-class Karma final : public ContentionManager {
- public:
-  std::string name() const override { return "Karma"; }
-  stm::Resolution resolve(stm::ThreadCtx& self, stm::TxDesc& tx, stm::TxDesc& enemy,
-                          stm::ConflictKind kind) override;
-  void on_begin(stm::ThreadCtx& self, stm::TxDesc& tx, bool is_retry) override;
-  void on_open(stm::ThreadCtx& self, stm::TxDesc& tx) override;
-
- private:
-  std::array<CacheAligned<std::uint32_t>, 64> saved_karma_{};
-};
-
-class Polite final : public ContentionManager {
- public:
-  std::string name() const override { return "Polite"; }
-  stm::Resolution resolve(stm::ThreadCtx& self, stm::TxDesc& tx, stm::TxDesc& enemy,
-                          stm::ConflictKind kind) override;
-};
-
 class Aggressive final : public ContentionManager {
  public:
   std::string name() const override { return "Aggressive"; }
   stm::Resolution resolve(stm::ThreadCtx& self, stm::TxDesc& tx, stm::TxDesc& enemy,
                           stm::ConflictKind kind) override;
-};
-
-class Timestamp final : public ContentionManager {
- public:
-  std::string name() const override { return "Timestamp"; }
-  stm::Resolution resolve(stm::ThreadCtx& self, stm::TxDesc& tx, stm::TxDesc& enemy,
-                          stm::ConflictKind kind) override;
-};
-
-/// Kindergarten (Scherer & Scott): "take turns". Each thread keeps a list
-/// of enemies in whose favor it previously backed off; meeting one of them
-/// again means it is our turn, so the enemy is aborted. A fresh enemy gets
-/// one deferral (we back off briefly and remember it), and repeated
-/// patience is bounded.
-class Kindergarten final : public ContentionManager {
- public:
-  std::string name() const override { return "Kindergarten"; }
-  stm::Resolution resolve(stm::ThreadCtx& self, stm::TxDesc& tx, stm::TxDesc& enemy,
-                          stm::ConflictKind kind) override;
-  void on_begin(stm::ThreadCtx& self, stm::TxDesc& tx, bool is_retry) override;
-
- private:
-  struct HitList {
-    std::array<std::uint32_t, 64> deferred_to{};  // per enemy slot: count
-  };
-  std::array<CacheAligned<HitList>, 64> lists_{};
-};
-
-/// Eruption (Scherer & Scott): blocked transactions transfer their accrued
-/// priority ("pressure") to the transaction blocking them, so a blocker at
-/// the head of a long chain erupts through quickly. Pressure rides on the
-/// karma field; waiting adds the waiter's karma to the enemy.
-class Eruption final : public ContentionManager {
- public:
-  std::string name() const override { return "Eruption"; }
-  stm::Resolution resolve(stm::ThreadCtx& self, stm::TxDesc& tx, stm::TxDesc& enemy,
-                          stm::ConflictKind kind) override;
-  void on_begin(stm::ThreadCtx& self, stm::TxDesc& tx, bool is_retry) override;
-  void on_open(stm::ThreadCtx& self, stm::TxDesc& tx) override;
-
- private:
-  std::array<CacheAligned<std::uint32_t>, 64> saved_karma_{};
 };
 
 class RandomizedRounds final : public ContentionManager {

@@ -59,13 +59,6 @@ class WaitHooks {
   /// operation, a no-op under the deterministic checker (whose serialized
   /// executor owns all interleaving; a raw yield there is schedule-impure).
   virtual void yield_safe() noexcept = 0;
-
-  /// Waits, unbounded, until `enemy` leaves Active: for managers that order
-  /// a whole attempt behind another (Steal-On-Abort). Parks or yields, and
-  /// under the deterministic checker hands the token on each round, since
-  /// the enemy cannot finish while this thread holds it.
-  virtual void wait_until_inactive(stm::ThreadCtx& self, const stm::TxDesc& tx,
-                                   const stm::TxDesc& enemy) noexcept = 0;
 };
 
 class ContentionManager {
@@ -75,15 +68,18 @@ class ContentionManager {
   virtual std::string name() const = 0;
 
   /// Decide one conflict between the calling transaction `tx` and an
-  /// `enemy` that was active when the conflict was discovered.
+  /// `enemy` that was active when the conflict was discovered. A manager
+  /// must not keep `tx` after the call returns: on orec it may be the
+  /// thread's never-published descriptor, which the next attempt reuses in
+  /// place (DESIGN.md §5).
   virtual stm::Resolution resolve(stm::ThreadCtx& self, stm::TxDesc& tx, stm::TxDesc& enemy,
                                   stm::ConflictKind kind) = 0;
 
   /// Liveness-aware arbitration (src/resilience/): the escalation ladder's
   /// priority boost overrides any manager policy — a strictly higher boost
-  /// wins the conflict outright, so every manager (all 11 classic CMs and
-  /// the 5 window variants) honors escalation uniformly. Equal boosts
-  /// (including the common 0 vs 0) fall through to the manager's resolve().
+  /// wins the conflict outright, so every manager honors escalation
+  /// uniformly. Equal boosts (including the common 0 vs 0) fall through to
+  /// the manager's resolve().
   /// Called by the Runtime only when the liveness layer is enabled.
   stm::Resolution resolve_with_boost(stm::ThreadCtx& self, stm::TxDesc& tx, stm::TxDesc& enemy,
                                      stm::ConflictKind kind) {
@@ -109,7 +105,7 @@ class ContentionManager {
     (void)self, (void)tx, (void)is_retry;
   }
 
-  /// An object was opened successfully (Karma-style priority accrual).
+  /// An object was opened successfully (Polka's karma accrual).
   virtual void on_open(stm::ThreadCtx& self, stm::TxDesc& tx) { (void)self, (void)tx; }
 
   virtual void on_commit(stm::ThreadCtx& self, stm::TxDesc& tx) { (void)self, (void)tx; }

@@ -8,7 +8,7 @@
 namespace wstm::cm {
 
 void Polka::on_begin(stm::ThreadCtx& self, stm::TxDesc& tx, bool is_retry) {
-  // Karma (the accrued-work priority) survives aborts of the same logical
+  // The karma (the accrued-work priority) survives aborts of the same logical
   // transaction and resets when a fresh transaction starts.
   if (!is_retry) *saved_karma_[self.slot()] = 0;
   tx.karma.store(*saved_karma_[self.slot()], std::memory_order_release);

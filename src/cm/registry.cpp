@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "cm/classic.hpp"
-#include "cm/schedulers.hpp"
 #include "window/window_cm.hpp"
 
 namespace wstm::cm {
@@ -17,15 +16,11 @@ const std::vector<std::string> kWindowNames = {
 };
 
 const std::vector<std::string> kClassicNames = {
-    "Polka", "Greedy", "Priority", "Karma", "Polite", "Aggressive", "Timestamp",
-    "Kindergarten", "Eruption", "RandomizedRounds", "ATS", "Steal-On-Abort",
+    "Polka", "Greedy", "Priority", "Aggressive", "RandomizedRounds",
 };
 
 /// Classic managers whose decisions never read the attempt timestamps.
-const std::vector<std::string> kUntimedNames = {
-    "Polka", "Karma", "Polite", "Aggressive", "Kindergarten", "Eruption", "RandomizedRounds",
-    "Steal-On-Abort",
-};
+const std::vector<std::string> kUntimedNames = {"Polka", "Aggressive", "RandomizedRounds"};
 
 }  // namespace
 
@@ -44,14 +39,7 @@ ManagerPtr make_manager(const std::string& name, const Params& params) {
   if (name == "Polka") return std::make_unique<Polka>();
   if (name == "Greedy") return std::make_unique<Greedy>();
   if (name == "Priority") return std::make_unique<Priority>();
-  if (name == "Karma") return std::make_unique<Karma>();
-  if (name == "Polite") return std::make_unique<Polite>();
   if (name == "Aggressive") return std::make_unique<Aggressive>();
-  if (name == "Timestamp") return std::make_unique<Timestamp>();
-  if (name == "Kindergarten") return std::make_unique<Kindergarten>();
-  if (name == "Eruption") return std::make_unique<Eruption>();
-  if (name == "ATS") return std::make_unique<Ats>(params.ats_ci_threshold, params.ci_alpha);
-  if (name == "Steal-On-Abort") return std::make_unique<StealOnAbort>();
   if (name == "RandomizedRounds") return std::make_unique<RandomizedRounds>(params.threads);
   throw std::invalid_argument("unknown contention manager: " + name);
 }

@@ -20,8 +20,6 @@ struct Params {
   double frame_log_exponent = 1.0;
   double initial_c = 0.0;  // 0 = variant default
   double ci_alpha = 0.75;
-  /// ATS: serialize while contention intensity exceeds this.
-  double ats_ci_threshold = 0.5;
   /// Requester-waits arbitration for the window family (DESIGN.md §13);
   /// mirrors RuntimeConfig::arbitration == kWait. Classic managers take the
   /// mode from their attached WaitHooks instead.
@@ -40,7 +38,7 @@ std::vector<std::string> classic_manager_names();
 bool is_window_manager(const std::string& name);
 
 /// True when the manager reads the attempt timestamps (TxDesc::begin_ns /
-/// first_begin_ns): Greedy, Priority, Timestamp, ATS and the window family.
+/// first_begin_ns): Greedy, Priority and the window family.
 /// Unknown names count as timed, so a new manager keeps its clock until it
 /// is listed as clock-free here. The Runtime stamps attempts only when this
 /// (or the liveness layer, or a trace recorder) needs the value.

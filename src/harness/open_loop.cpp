@@ -53,7 +53,7 @@ OpenLoopResult run_open_loop(const std::string& cm_name, cm::Params cm_params,
   if (!run.trace_path.empty()) {
     trace::Recorder::Options opts;
     const unsigned rings = run.threads + producers + 1;  // workers + producers + populate
-    opts.threads = rings > stm::Runtime::kMaxThreads ? stm::Runtime::kMaxThreads : rings;
+    opts.threads = rings > stm::kMaxThreads ? stm::kMaxThreads : rings;
     opts.capacity_per_thread = run.trace_events_per_thread;
     recorder = std::make_unique<trace::Recorder>(opts);
     rt_config.recorder = recorder.get();

@@ -81,7 +81,7 @@ ChaosInjector::Injection ChaosInjector::at_dequeue(Xoshiro256& rng) {
 }
 
 std::uint32_t ChaosInjector::ebr_pressure_due(unsigned slot) noexcept {
-  if (config_.ebr_pressure_every == 0 || slot >= 64) return 0;
+  if (config_.ebr_pressure_every == 0) return 0;
   if (++commit_count_[slot] % config_.ebr_pressure_every != 0) return 0;
   ebr_bursts_.fetch_add(1, std::memory_order_relaxed);
   return config_.ebr_pressure_burst;

@@ -18,6 +18,7 @@
 #include <atomic>
 #include <cstdint>
 
+#include "stm/fwd.hpp"
 #include "util/rng.hpp"
 
 namespace wstm::resilience {
@@ -87,8 +88,9 @@ class ChaosInjector {
   /// slept inline; `irrevocable` suppresses the spurious-abort roll.
   Injection at_commit(Xoshiro256& rng, bool irrevocable);
 
-  /// Commit-count-driven EBR pressure; returns the burst size to retire
-  /// (0 = none this commit). Caller retires while still pinned.
+  /// Commit-count-driven EBR pressure for thread `slot` (< stm::kMaxThreads);
+  /// returns the burst size to retire (0 = none this commit). Caller
+  /// retires while still pinned.
   std::uint32_t ebr_pressure_due(unsigned slot) noexcept;
 
   /// Rolled by serve workers right after pulling a request off a queue.
@@ -107,7 +109,7 @@ class ChaosInjector {
 
  private:
   ChaosConfig config_;
-  std::uint32_t commit_count_[64] = {};  // per-slot, owner-thread only
+  std::uint32_t commit_count_[stm::kMaxThreads] = {};  // per-slot, owner-thread only
   std::atomic<std::uint64_t> stalls_{0};
   std::atomic<std::uint64_t> spurious_aborts_{0};
   std::atomic<std::uint64_t> delayed_commits_{0};

@@ -36,7 +36,7 @@ void LivenessManager::stop_watchdog() {
 void LivenessManager::scan_once(const std::function<void(unsigned)>& kicker) {
   scans_.fetch_add(1, std::memory_order_relaxed);
   const std::int64_t now = now_ns();
-  for (unsigned slot = 0; slot < kMaxSlots; ++slot) {
+  for (unsigned slot = 0; slot < stm::kMaxThreads; ++slot) {
     Beacon& b = *beacons_[slot];
     if (b.in_attempt.load(std::memory_order_acquire) == 0) continue;
 

@@ -28,6 +28,7 @@
 #include <mutex>
 #include <thread>
 
+#include "stm/fwd.hpp"
 #include "util/cacheline.hpp"
 
 namespace wstm::resilience {
@@ -71,8 +72,6 @@ struct LivenessConfig {
 
 class LivenessManager {
  public:
-  static constexpr unsigned kMaxSlots = 64;
-
   // Beacon flag bits, set by the watchdog and collected by the owning
   // worker (take_flags) so the trace event lands in the owner's ring.
   static constexpr std::uint8_t kFlagStorm = 1;
@@ -204,7 +203,7 @@ class LivenessManager {
   void scan_once(const std::function<void(unsigned)>& kicker);
 
   LivenessConfig config_;
-  CacheAligned<Beacon> beacons_[kMaxSlots];
+  CacheAligned<Beacon> beacons_[stm::kMaxThreads];  // indexed by thread slot
 
   std::atomic<int> token_owner_{-1};
   std::atomic<std::uint32_t> holders_{0};

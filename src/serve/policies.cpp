@@ -66,14 +66,15 @@ class KeyHash final : public AdmissionScheduler {
 
 // --- conflict-graph --------------------------------------------------------
 
-// ATS-style hot-key clustering. The CI estimator in src/cm/ats.cpp decides
-// *when* to serialize (one global lane once contention is high); here the
-// decision is *per key*: a fixed open-addressed table of abort-rate EWMAs,
-// fed by worker feedback, marks keys hot, and hot keys hash into a set of
-// serialization lanes while cold keys round-robin for load balance. When the
-// global abort rate is high the lane set shrinks to hot_lane_fraction of the
-// queues, concentrating conflicting work on few workers — the ATS limit
-// (one lane) falls out at n_queues * fraction <= 1.
+// Hot-key clustering after Adaptive Transaction Scheduling (Yoo & Lee,
+// SPAA'08), which decides *when* to serialize (one global lane once
+// contention is high); here the decision is *per key*: a fixed
+// open-addressed table of abort-rate EWMAs, fed by worker feedback, marks
+// keys hot, and hot keys hash into a set of serialization lanes while cold
+// keys round-robin for load balance. When the global abort rate is high the
+// lane set shrinks to hot_lane_fraction of the queues, concentrating
+// conflicting work on few workers — the single global lane falls out at
+// n_queues * fraction <= 1.
 //
 // Heat is 8.8 fixed point (1.0 == 256) so the table stays one atomic word
 // per key and updates are plain CAS loops.

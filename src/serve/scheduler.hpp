@@ -12,10 +12,11 @@
 //   round-robin     spread everything (pure load balance, no isolation)
 //   key-hash        static sharding by conflict key (full isolation, no
 //                   balance — a Zipfian head overloads one queue)
-//   conflict-graph  ATS-style hot-key clustering: per-key abort-rate EWMAs
-//                   decide which keys need isolation; hot keys hash into a
-//                   small set of serialization lanes (generalizing
-//                   src/cm/ats.cpp's single lane), cold keys round-robin
+//   conflict-graph  hot-key clustering: per-key abort-rate EWMAs decide
+//                   which keys need isolation; hot keys hash into a small
+//                   set of serialization lanes (generalizing Adaptive
+//                   Transaction Scheduling's single lane), cold keys
+//                   round-robin
 //   window-frame    the window CMs' frame assignment reused as a queue
 //                   placement: a request's key draws a delay q_k in
 //                   [0, alpha) exactly like a window thread draws q_i, its

@@ -122,7 +122,7 @@ class DstmEngine final : public Backend {
   Runtime& rt_;
   /// RuntimeConfig::visible_reads, cached for the hot paths.
   const bool visible_;
-  std::array<std::unique_ptr<SlotState>, Runtime::kMaxThreads> slots_;
+  std::array<std::unique_ptr<SlotState>, kMaxThreads> slots_;
   /// Commit-pending slots, one cache line per thread. `desc` is non-null
   /// from just before a write-commit reads its stamp until just after its
   /// status CAS; `seq` counts completed retractions so a snapshot
@@ -132,7 +132,7 @@ class DstmEngine final : public Backend {
     std::atomic<TxDesc*> desc{nullptr};
     std::atomic<std::uint64_t> seq{0};
   };
-  std::array<CommitPending, Runtime::kMaxThreads> commit_pending_{};
+  std::array<CommitPending, kMaxThreads> commit_pending_{};
   /// One past the highest slot ever attached; bounds the pending scans.
   /// Monotone, updated by attach() under the Runtime's attach mutex, read
   /// with acquire.

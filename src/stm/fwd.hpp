@@ -14,6 +14,13 @@ class Backend;
 class DstmEngine;
 class OrecEngine;
 
+/// Thread slots per Runtime. Everything indexed by a thread slot — the
+/// runtime's registries, the engines' per-slot logs, per-slot manager,
+/// liveness and chaos state, the trace recorder's rings and the trace
+/// tools' per-thread tables — is sized by this one bound. The EBR domain
+/// keeps its own slot count; Runtime asserts that it is at least this.
+inline constexpr unsigned kMaxThreads = 128;
+
 /// Which execution engine a Runtime drives (DESIGN.md §12). The CM layer,
 /// metrics, trace, liveness and checker sit above this choice.
 enum class BackendKind : std::uint8_t {

@@ -384,8 +384,8 @@ bool OrecEngine::commit(ThreadCtx& tc) {
       me->status.store(TxStatus::kCommitted, std::memory_order_relaxed);
       return true;
     }
-    // Published (it met a conflict): the status CAS is required — a
-    // remote kill must not be reported as a commit.
+    // Published (by the liveness layer at begin): the status CAS is
+    // required — a remote kill must not be reported as a commit.
     TxStatus expected = TxStatus::kActive;
     const bool won = me->status.compare_exchange_strong(expected, TxStatus::kCommitted,
                                                         std::memory_order_seq_cst);

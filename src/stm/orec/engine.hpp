@@ -122,7 +122,7 @@ class OrecEngine final : public Backend {
   OrecTable table_;
   /// First-touch id source for orec_of (ids start at 1; 0 = unassigned).
   std::atomic<std::uint64_t> next_obj_id_{0};
-  std::array<std::unique_ptr<TxLogs>, Runtime::kMaxThreads> logs_;
+  std::array<std::unique_ptr<TxLogs>, kMaxThreads> logs_;
 };
 
 }  // namespace wstm::stm

@@ -100,9 +100,9 @@ void Runtime::shutdown() noexcept {
       // Abort in-flight stragglers so contention-manager waits unwind into
       // the retry loop, where the stopping gate turns them into
       // RuntimeStoppedError. Irrevocable holders refuse the kill and drain
-      // by committing. Only published attempts can be waiting on anyone:
-      // an unpublished one holds no lock and never arbitrated, and
-      // finishes by itself.
+      // by committing. An unpublished orec attempt holds no lock, so no one
+      // waits on it; it can itself wait only on a lock holder, which is
+      // published and killed here, and then finishes by itself.
       scratch.pin();
       for (unsigned i = 0; i < kMaxThreads; ++i) {
         TxDesc* d = tx_of_slot(i);
@@ -421,32 +421,13 @@ void Runtime::cleanup_attempt(ThreadCtx& tc, bool committed) {
     tc.metrics_.aborts++;
     tc.metrics_.wasted_ns += elapsed;  // 0 when untimed
     if (trace::Recorder* rec = config_.recorder) {
-      // Best-effort killer attribution from a manager-registered aborter
-      // (Steal-On-Abort); the offline analyzer joins the winner's conflict
-      // events for the general case.
-      std::uint32_t killer = trace::kNoEnemy;
-      std::uint64_t killer_serial = 0;
-      if (const TxDesc* by = desc->aborted_by.load(std::memory_order_acquire)) {
-        killer = by->thread_slot;
-        killer_serial = by->serial;
-      }
       rec->record(tc.slot_, trace::EventKind::kAbort, desc->serial,
-                  tc.injected_abort_ ? 1 : 0, killer,
-                  static_cast<std::uint64_t>(elapsed), killer_serial);
+                  tc.injected_abort_ ? 1 : 0, trace::kNoEnemy,
+                  static_cast<std::uint64_t>(elapsed));
     }
     manager_->on_abort(tc, *desc);
   }
   if (tc.waited_this_attempt_) tc.metrics_.waits++;
-
-  // Release a leftover aborter registration the manager did not claim
-  // (e.g. the registering enemy lost the kill race and we committed). The
-  // relaxed load skips the RMW in the common case; a registration landing
-  // after it is dropped by this descriptor's last release().
-  if (desc->aborted_by.load(std::memory_order_relaxed) != nullptr) {
-    if (TxDesc* by = desc->aborted_by.exchange(nullptr, std::memory_order_acq_rel)) {
-      by->release();
-    }
-  }
 
   // Escalation bookkeeping for the logical transaction (cheap enough to
   // keep unconditional; only the liveness layer reads it).
@@ -519,7 +500,6 @@ void Runtime::abort_self(ThreadCtx& tc) {
 }
 
 Resolution Runtime::arbitrate(ThreadCtx& tc, TxDesc& me, TxDesc& enemy, ConflictKind kind) {
-  publish(tc);
   if (liveness_ == nullptr) [[likely]] {
     return manager_->resolve(tc, me, enemy, kind);
   }
@@ -576,8 +556,7 @@ bool Runtime::park_until_inactive(ThreadCtx& tc, const TxDesc& me, const TxDesc&
     // Spurious-wakeup semantics as in real mode: the caller re-checks.
     if (enemy.status.load(std::memory_order_acquire) != TxStatus::kActive) return true;
     parked_on_[tc.slot_]->store(static_cast<int>(enemy_slot), std::memory_order_seq_cst);
-    check::ParkEdge edge{&me, &enemy};
-    sched_point(check::Point::kPark, &edge);
+    sched_point(check::Point::kPark, &enemy);
     parked_on_[tc.slot_]->store(-1, std::memory_order_release);
     tc.metrics_.parks++;
     return true;
@@ -618,18 +597,6 @@ bool Runtime::park_until_inactive(ThreadCtx& tc, const TxDesc& me, const TxDesc&
                 enemy_slot, static_cast<std::uint64_t>(woke - t0), enemy.serial);
   }
   return true;
-}
-
-void Runtime::wait_until_inactive(ThreadCtx& tc, const TxDesc& me,
-                                  const TxDesc& enemy) noexcept {
-  while (enemy.is_active()) {
-    if (park_until_inactive(tc, me, enemy, 100'000)) continue;
-    if (config_.checker != nullptr) {
-      sched_point(check::Point::kBegin);  // directives ignored, as at the top
-    } else {
-      std::this_thread::yield();
-    }
-  }
 }
 
 void Runtime::signal_status_change(ThreadCtx* tc, const TxDesc* desc) noexcept {

@@ -340,9 +340,8 @@ struct RuntimeConfig {
 
 class Runtime {
  public:
-  static constexpr unsigned kMaxThreads = 128;
-  static_assert(kMaxThreads <= ReaderStripes::kCapacity,
-                "striped reader records must cover every thread slot");
+  static_assert(ebr::Domain::kMaxThreads >= kMaxThreads,
+                "every thread slot attaches its own EBR handle");
   /// When nothing but the metrics reads the attempt clock, each thread
   /// times its first logical transaction and then every this-many-th.
   static constexpr std::uint64_t kTimingSamplePeriod = 64;
@@ -371,10 +370,10 @@ class Runtime {
 
   /// The descriptor thread `slot` published last (may be null). It is the
   /// in-flight attempt only if that attempt was exposed (DESIGN.md §5):
-  /// an orec attempt that took no lock and never arbitrated leaves the
-  /// previous one here, finished. Dereference only while pinned (i.e.
-  /// inside a transaction) — the pointer is protected by EBR. seq_cst pairs
-  /// with publish()'s exchange in the argument of DESIGN.md §5.
+  /// an orec attempt that took no lock leaves the previous one here,
+  /// finished. Dereference only while pinned (i.e. inside a transaction) —
+  /// the pointer is protected by EBR. seq_cst pairs with publish()'s
+  /// exchange in the argument of DESIGN.md §5.
   TxDesc* tx_of_slot(unsigned slot) noexcept {
     return current_tx_[slot]->load(std::memory_order_seq_cst);
   }
@@ -512,16 +511,16 @@ class Runtime {
   /// Conflict arbitration front end: plain manager resolve() when the
   /// liveness layer is off; otherwise irrevocability short-circuits
   /// (an irrevocable self wins, an irrevocable enemy is waited on) and
-  /// escalation boosts override the manager (resolve_with_boost). Publishes
-  /// `me` first: a manager may keep it (Steal-On-Abort's aborted_by, a
-  /// park's ParkEdge).
+  /// escalation boosts override the manager (resolve_with_boost). Leaves
+  /// `me` unpublished: no manager keeps it past resolve(), and a parked
+  /// waiter is named by its slot, never by its descriptor.
   Resolution arbitrate(ThreadCtx& tc, TxDesc& me, TxDesc& enemy, ConflictKind kind);
 
   /// Exposure (DESIGN.md §5): makes the in-flight attempt's descriptor
   /// reachable by other threads. Called just before another thread could
   /// first learn its address — at begin on DSTM and under the liveness
-  /// layer, before a lock CAS or an arbitrate() on orec. No-op once the
-  /// attempt is published.
+  /// layer, before the first lock CAS on orec. No-op once the attempt is
+  /// published.
   void publish(ThreadCtx& tc) {
     if (!tc.published()) publish_spare(tc);
   }
@@ -544,12 +543,6 @@ class Runtime {
   void yield_safe() noexcept {
     if (config_.checker == nullptr) std::this_thread::yield();
   }
-
-  /// cm::WaitHooks body: parks or yields until `enemy` leaves Active. Under
-  /// the checker each round that does not park is a kBegin schedule point
-  /// (the wait sits in begin_attempt's on_begin), so the enemy gets the
-  /// token and can finish.
-  void wait_until_inactive(ThreadCtx& tc, const TxDesc& me, const TxDesc& enemy) noexcept;
 
   /// Unpark edge: called right after any status transition of `desc`
   /// (commit CAS, self-abort, enemy kill, watchdog kick, shutdown drain).
@@ -647,10 +640,6 @@ class Runtime {
       return rt_->park_until_inactive(self, tx, enemy, max_wait_ns);
     }
     void yield_safe() noexcept override { rt_->yield_safe(); }
-    void wait_until_inactive(ThreadCtx& self, const TxDesc& tx,
-                             const TxDesc& enemy) noexcept override {
-      rt_->wait_until_inactive(self, tx, enemy);
-    }
 
    private:
     Runtime* rt_;

@@ -46,8 +46,10 @@ class Tx;
 /// scan is K cache-line loads, paid only on write acquisition.
 struct ReaderStripes {
   static constexpr unsigned kStripes = 4;
-  /// Max thread slots representable (must cover Runtime::kMaxThreads).
+  /// Max thread slots representable.
   static constexpr unsigned kCapacity = kStripes * 64;
+  static_assert(kMaxThreads <= kCapacity,
+                "striped reader records must cover every thread slot");
 
   static constexpr unsigned stripe_of(unsigned slot) noexcept {
     return slot % kStripes;

@@ -27,7 +27,7 @@ namespace wstm::stm {
 struct alignas(kCacheLine) TxDesc {
   std::atomic<TxStatus> status{TxStatus::kActive};
 
-  /// Thread slot in [0, Runtime::kMaxThreads); also indexes the striped
+  /// Thread slot in [0, kMaxThreads); also indexes the striped
   /// visible-reader records (stripe = slot % K, bit = slot / K).
   std::uint32_t thread_slot = 0;
   /// Attempt number within the thread (diagnostics / tie-breaking).
@@ -49,7 +49,7 @@ struct alignas(kCacheLine) TxDesc {
 
   // --- contention-manager scratch, readable by enemies ---
 
-  /// Karma/Polka priority: number of objects opened so far (all attempts).
+  /// Polka's karma priority: number of objects opened so far (all attempts).
   std::atomic<std::uint32_t> karma{0};
   /// Greedy's "waiting" flag: set while the transaction is blocked inside a
   /// contention-manager wait; a waiting transaction may be killed by anyone.
@@ -74,34 +74,20 @@ struct alignas(kCacheLine) TxDesc {
   /// and finish_attempt_abort both demote before their try_abort).
   std::atomic<bool> irrevocable{false};
 
-  /// Identity of the transaction that aborted this one, registered by
-  /// scheduler-style managers (Steal-On-Abort) before the kill; carries one
-  /// reference, released by the victim's cleanup (runtime) or its manager's
-  /// on_abort, whichever claims it first via exchange. A registration that
-  /// lands after both (the victim already finished) is dropped by the
-  /// victim's last release().
-  std::atomic<TxDesc*> aborted_by{nullptr};
-
   // --- lifetime ---
   std::atomic<std::int32_t> refs{1};
 
   void add_ref() noexcept { refs.fetch_add(1, std::memory_order_relaxed); }
 
   /// Drops one reference; recycles the descriptor's block when it was the
-  /// last, then drops the reference of any aborter still registered.
-  /// Runtime-created descriptors live in pool blocks (see
+  /// last. Runtime-created descriptors live in pool blocks (see
   /// Runtime::begin_attempt); a remote release routes the block back to the
   /// owning thread's pool through its remote-free stack. Only published
   /// descriptors are released; the never-published one is reused.
   void release() noexcept {
-    TxDesc* d = this;
-    // A loop, not recursion: each freed descriptor hands on one reference.
-    while (d != nullptr && d->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      TxDesc* by = d->aborted_by.load(std::memory_order_acquire);
-      d->~TxDesc();
-      util::Pool::deallocate(d);
-      d = by;
-    }
+    if (refs.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+    this->~TxDesc();
+    util::Pool::deallocate(this);
   }
 
   bool is_active() const noexcept {

@@ -89,9 +89,6 @@ Analyzer::Analyzer(std::vector<Event> events) : events_(std::move(events)) {
           if (edge != kill_edge.end()) {
             a.killer_slot = edge->second.killer_slot;
             a.killer_serial = edge->second.killer_serial;
-          } else if (e.enemy != kNoEnemy) {
-            a.killer_slot = e.enemy;  // manager-registered aborted_by
-            a.killer_serial = e.a1;
           }
         }
         open.erase(it);

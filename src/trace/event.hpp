@@ -28,10 +28,10 @@ inline constexpr std::uint32_t kNoEnemy = 0xffffffffu;
 enum class EventKind : std::uint8_t {
   kBegin = 0,       // detail bit0 = is_retry
   kCommit,          // a0 = attempt elapsed ns, a1 = response ns (since first begin)
-  kAbort,           // a0 = attempt elapsed ns; enemy/a1 = registered killer slot/serial
-                    // (kNoEnemy unless a manager registered aborted_by);
-                    // detail bit0 = 1 when the deterministic checker's fault
-                    // injector forced this abort (src/check/)
+  kAbort,           // a0 = attempt elapsed ns; detail bit0 = 1 when the
+                    // deterministic checker's fault injector forced this
+                    // abort (src/check/). The analyzer finds the killer
+                    // through the winner's kConflict kill edge.
   kConflict,        // detail = pack_conflict(kind, resolution); enemy/a0 = enemy slot/serial
   kWait,            // conflict resolved to kRetry (the manager typically waited);
                     // enemy/a0 = enemy slot/serial

@@ -14,7 +14,7 @@ std::size_t round_up_pow2(std::size_t n) {
 }  // namespace
 
 Recorder::Recorder(Options options)
-    : threads_(options.threads < kMaxThreads ? options.threads : kMaxThreads),
+    : threads_(options.threads < stm::kMaxThreads ? options.threads : stm::kMaxThreads),
       mask_(round_up_pow2(options.capacity_per_thread < 2 ? 2 : options.capacity_per_thread) -
             1) {
   if (options.threads == 0) throw std::invalid_argument("Recorder: threads must be > 0");

@@ -19,6 +19,7 @@
 #include <memory>
 #include <vector>
 
+#include "stm/fwd.hpp"
 #include "trace/event.hpp"
 #include "util/cacheline.hpp"
 #include "util/timing.hpp"
@@ -27,11 +28,12 @@ namespace wstm::trace {
 
 class Recorder {
  public:
-  static constexpr unsigned kMaxThreads = 64;
-
   struct Options {
-    /// Thread slots with a ring (events from slots >= threads are ignored).
-    unsigned threads = kMaxThreads;
+    /// Thread slots with a ring, at most stm::kMaxThreads (events from
+    /// slots >= threads are ignored). Every ring is allocated up front, so
+    /// the default covers the first 64 slots rather than all of them; pass
+    /// the run's thread count to cover more.
+    unsigned threads = 64;
     /// Ring capacity in events per thread, rounded up to a power of two.
     /// Oldest events are overwritten once the ring is full.
     std::size_t capacity_per_thread = std::size_t{1} << 16;
@@ -84,7 +86,7 @@ class Recorder {
 
   unsigned threads_;
   std::size_t mask_;
-  std::array<Ring, kMaxThreads> rings_;
+  std::array<Ring, stm::kMaxThreads> rings_;
 };
 
 }  // namespace wstm::trace

@@ -4,6 +4,8 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "stm/fwd.hpp"
+
 namespace wstm::trace {
 
 namespace {
@@ -58,10 +60,10 @@ CheckResult ScheduleChecker::check(std::vector<Event> events) {
   CheckResult result;
   Reporter report(result);
   if (!events.empty()) report.set_base(events.front().t_ns);
-  ThreadState state[64];
+  ThreadState state[stm::kMaxThreads];
 
   for (const Event& e : events) {
-    if (e.thread >= 64) continue;
+    if (e.thread >= stm::kMaxThreads) continue;
     ThreadState& st = state[e.thread];
     result.events_checked++;
 

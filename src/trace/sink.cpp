@@ -8,6 +8,8 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "stm/fwd.hpp"
+
 namespace wstm::trace {
 
 namespace {
@@ -85,12 +87,12 @@ void write_chrome_json(const std::vector<Event>& events, std::ostream& out) {
     std::uint64_t serial = 0;
     bool is_retry = false;
   };
-  Pending pending[64] = {};
-  bool named[64] = {};
+  Pending pending[stm::kMaxThreads] = {};
+  bool named[stm::kMaxThreads] = {};
 
   for (const Event& e : events) {
     const unsigned tid = e.thread;
-    if (tid < 64 && !named[tid]) {
+    if (tid < stm::kMaxThreads && !named[tid]) {
       named[tid] = true;
       w.open("M", tid, 0.0, "thread_name");
       char buf[64];
@@ -100,12 +102,14 @@ void write_chrome_json(const std::vector<Event>& events, std::ostream& out) {
     }
     switch (e.kind) {
       case EventKind::kBegin:
-        if (tid < 64) pending[tid] = {true, e.t_ns, e.serial, (e.detail & 1) != 0};
+        if (tid < stm::kMaxThreads) {
+          pending[tid] = {true, e.t_ns, e.serial, (e.detail & 1) != 0};
+        }
         break;
       case EventKind::kCommit:
       case EventKind::kAbort: {
         const bool committed = e.kind == EventKind::kCommit;
-        if (tid < 64 && pending[tid].open && pending[tid].serial == e.serial) {
+        if (tid < stm::kMaxThreads && pending[tid].open && pending[tid].serial == e.serial) {
           w.open("X", tid, rel_us(pending[tid].t_ns, base), committed ? "tx" : "tx(abort)");
           w.field_num("dur", static_cast<double>(e.t_ns - pending[tid].t_ns) / 1000.0);
           w.field_str("cat", committed ? "commit" : "abort");
@@ -114,11 +118,6 @@ void write_chrome_json(const std::vector<Event>& events, std::ostream& out) {
           std::snprintf(buf, sizeof(buf), "\"serial\":%" PRIu64 ",\"retry\":%d",
                         e.serial, pending[tid].is_retry ? 1 : 0);
           w.raw(buf);
-          if (!committed && e.enemy != kNoEnemy) {
-            std::snprintf(buf, sizeof(buf), ",\"killer\":%u,\"killer_serial\":%" PRIu64,
-                          e.enemy, e.a1);
-            w.raw(buf);
-          }
           w.raw("}");
           w.close();
           pending[tid].open = false;

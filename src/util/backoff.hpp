@@ -1,60 +1,19 @@
-// Yielding exponential backoff.
+// Yielding wait for contention managers.
 //
-// This host (like many CI containers) may have fewer hardware threads than
-// benchmark threads, so a waiting transaction must let its enemy actually
-// run: every backoff step beyond a short spin burst yields to the OS
-// scheduler. Pure spinning would deadlock progress under oversubscription.
+// A machine may have fewer hardware threads than benchmark threads (many CI
+// containers do), so a waiting transaction must let its enemy actually run:
+// the wait yields to the OS scheduler on every round. Pure spinning would
+// deadlock progress under oversubscription.
 #pragma once
 
 #include <chrono>
-#include <cstdint>
 #include <thread>
 
 namespace wstm {
 
-/// Exponential backoff: spin briefly, then yield, then sleep with
-/// exponentially growing caps. Suitable for contention-manager WAIT
-/// decisions and for the retry loop between transaction attempts.
-class Backoff {
- public:
-  explicit Backoff(std::uint32_t spin_limit = 64, std::uint32_t max_exponent = 16) noexcept
-      : spin_limit_(spin_limit), max_exponent_(max_exponent) {}
-
-  /// One backoff step; successive calls wait longer.
-  void pause() noexcept {
-    if (round_ < spin_limit_) {
-      cpu_relax();
-    } else if (round_ < spin_limit_ + 32) {
-      std::this_thread::yield();
-    } else {
-      const std::uint32_t exp = round_ - spin_limit_ - 32;
-      const std::uint32_t capped = exp > max_exponent_ ? max_exponent_ : exp;
-      std::this_thread::sleep_for(std::chrono::nanoseconds(250ULL << capped));
-    }
-    ++round_;
-  }
-
-  void reset() noexcept { round_ = 0; }
-
-  std::uint32_t rounds() const noexcept { return round_; }
-
-  static void cpu_relax() noexcept {
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#else
-    std::this_thread::yield();
-#endif
-  }
-
- private:
-  std::uint32_t spin_limit_;
-  std::uint32_t max_exponent_;
-  std::uint32_t round_ = 0;
-};
-
 /// Sleep for a bounded duration while yielding; used by contention managers
-/// that grant an enemy a time slice (Polka, Polite). Returns early if
-/// `done()` becomes true.
+/// that grant an enemy a time slice (Polka). Returns early if `done()`
+/// becomes true.
 template <typename Predicate>
 bool yield_until(std::chrono::nanoseconds budget, Predicate&& done) {
   const auto deadline = std::chrono::steady_clock::now() + budget;

@@ -5,7 +5,7 @@
 // Deterministic checking (src/check/) virtualizes this clock: the
 // serialized executor installs an atomic counter it advances by a fixed
 // tick per scheduling decision, so every time-derived decision (Greedy /
-// Timestamp ordering, window frame transitions, τ estimates) replays
+// Priority ordering, window frame transitions, τ estimates) replays
 // bit-identically. The disabled cost is one relaxed load of a never-written
 // pointer plus a predicted branch per now_ns() call.
 #pragma once

@@ -15,8 +15,9 @@ WindowCM::WindowCM(std::string name, WindowOptions options)
       options_(options),
       tau_ns_(options.tau_init_ns),
       epoch_ns_(now_ns()) {
-  if (options_.threads == 0 || options_.threads > 64) {
-    throw std::invalid_argument("WindowCM: threads must be in [1, 64]");
+  if (options_.threads == 0 || options_.threads > stm::kMaxThreads) {
+    throw std::invalid_argument("WindowCM: threads must be in [1, " +
+                                std::to_string(stm::kMaxThreads) + "]");
   }
   if (options_.window_n == 0) throw std::invalid_argument("WindowCM: window_n must be > 0");
   if (options_.initial_c == 0.0) {

@@ -6,7 +6,7 @@
 //   Online                    static frames, C_i known (configured)
 //   Online-Dynamic            + frame contraction/expansion via controller
 //   Adaptive                  C_i guessed, doubling on bad events
-//   Adaptive-Improved         C_i from the ATS-style CI estimator
+//   Adaptive-Improved         C_i from the contention-intensity estimator
 //   Adaptive-Improved-Dynamic + dynamic frames
 //
 // Mechanics per thread P_i (paper Section II):
@@ -159,7 +159,7 @@ class WindowCM final : public cm::ContentionManager {
   /// commit so cross-thread readers never touch PerThread state.
   std::int64_t epoch_ns_ = 0;
   std::atomic<double> c_beacon_{0.0};
-  std::array<CacheAligned<PerThread>, 64> state_{};
+  std::array<CacheAligned<PerThread>, stm::kMaxThreads> state_{};
 };
 
 /// Factory for the five published variants (and "Adaptive-Dynamic" as an

@@ -80,16 +80,15 @@ TEST(OrecChecker, ExplorationIsCleanOnAllWindowVariants) {
   }
 }
 
-// Steal-On-Abort is the one manager that keeps the requester's descriptor
-// (it registers `me` as the victim's aborter, with a reference), so an orec
-// attempt must be published before any arbitrate(). Exploration must stay
-// clean in both arbitration modes; the victim's wait for its aborter hands
-// the executor's token on, so the aborter can finish.
-TEST(OrecChecker, StealOnAbortExplorationIsCleanInBothModes) {
+// An orec attempt arbitrates without publishing its descriptor (DESIGN.md
+// §5). Greedy writes the requester's `waiting` flag and, in wait mode,
+// parks it on the lock holder, so an unpublished reader waits and is woken
+// through its enemy alone. Exploration must stay clean in both modes.
+TEST(OrecChecker, GreedyExplorationIsCleanInBothModes) {
   for (const char* mode : {"abort", "wait"}) {
-    CheckConfig c = orec_check_config("Steal-On-Abort");
+    CheckConfig c = orec_check_config("Greedy");
     c.arbitration = mode;
-    c.key_range = 12;  // contended: kills, and hence registrations, are common
+    c.key_range = 12;  // contended: lock-holder conflicts are common
     Checker checker(c);
     const ExploreResult er = checker.explore(8);
     EXPECT_EQ(er.violations, 0u) << mode << ": " << er.first_violation.diagnosis;

@@ -4,14 +4,11 @@
 
 #include <atomic>
 #include <memory>
-#include <new>
 
 #include "cm/classic.hpp"
-#include "cm/schedulers.hpp"
 #include "cm/registry.hpp"
 #include "stm/runtime.hpp"
 #include "trace/recorder.hpp"
-#include "util/pool.hpp"
 #include "util/timing.hpp"
 
 namespace wstm::cm {
@@ -146,7 +143,7 @@ TEST_F(CmTest, PolkaKarmaAccruesPerOpenAndResetsOnCommit) {
   cm.on_open(*tc_, tx);
   cm.on_open(*tc_, tx);
   EXPECT_EQ(tx.karma.load(), 2u);
-  // Karma persists into a retry of the same transaction...
+  // The karma persists into a retry of the same transaction...
   TxDesc retry;
   init_desc(retry, tc_->slot(), 10);
   cm.on_begin(*tc_, retry, /*is_retry=*/true);
@@ -185,8 +182,6 @@ TEST_F(CmTest, PolkaClampsBackoffTraceWhenClockRewinds) {
       return true;
     }
     void yield_safe() noexcept override {}
-    void wait_until_inactive(stm::ThreadCtx&, const stm::TxDesc&,
-                             const stm::TxDesc&) noexcept override {}
   };
 
   Polka cm;
@@ -212,88 +207,6 @@ TEST_F(CmTest, PolkaClampsBackoffTraceWhenClockRewinds) {
     EXPECT_EQ(e.a1, 1u);  // one slice waited
   }
   EXPECT_TRUE(found) << "the wait was never traced";
-}
-
-TEST_F(CmTest, KarmaWaitCountsTowardPriority) {
-  Karma cm;
-  TxDesc me, enemy;
-  init_desc(me, 0, 10);
-  init_desc(enemy, 1, 20);
-  me.karma.store(1);
-  enemy.karma.store(3);
-  // attempts accumulate until mine + attempts >= theirs, then kill.
-  EXPECT_EQ(cm.resolve(*tc_, me, enemy, ConflictKind::kWriteWrite), Resolution::kAbortEnemy);
-}
-
-TEST_F(CmTest, PoliteBacksOffThenAbortsEnemy) {
-  Polite cm;
-  TxDesc me, enemy;
-  init_desc(me, 0, 10);
-  init_desc(enemy, 1, 20);
-  EXPECT_EQ(cm.resolve(*tc_, me, enemy, ConflictKind::kWriteWrite), Resolution::kAbortEnemy);
-}
-
-TEST_F(CmTest, PoliteRetriesIfEnemyFinished) {
-  Polite cm;
-  TxDesc me, enemy;
-  init_desc(me, 0, 10);
-  init_desc(enemy, 1, 20);
-  enemy.status.store(TxStatus::kCommitted);
-  EXPECT_EQ(cm.resolve(*tc_, me, enemy, ConflictKind::kWriteWrite), Resolution::kRetry);
-}
-
-TEST_F(CmTest, TimestampOlderKillsImmediately) {
-  Timestamp cm;
-  TxDesc old_tx, young_tx;
-  init_desc(old_tx, 0, 10);
-  init_desc(young_tx, 1, 20);
-  EXPECT_EQ(cm.resolve(*tc_, old_tx, young_tx, ConflictKind::kWriteWrite),
-            Resolution::kAbortEnemy);
-}
-
-TEST_F(CmTest, KindergartenDefersOnceThenTakesItsTurn) {
-  Kindergarten cm;
-  TxDesc me, enemy;
-  init_desc(me, tc_->slot(), 10);
-  init_desc(enemy, 1, 20);
-  cm.on_begin(*tc_, me, /*is_retry=*/false);
-  // First meeting: back off and let the enemy run.
-  EXPECT_EQ(cm.resolve(*tc_, me, enemy, ConflictKind::kWriteWrite), Resolution::kRetry);
-  // Second meeting with the same thread: our turn.
-  EXPECT_EQ(cm.resolve(*tc_, me, enemy, ConflictKind::kWriteWrite), Resolution::kAbortEnemy);
-}
-
-TEST_F(CmTest, KindergartenForgetsOnFreshTransaction) {
-  Kindergarten cm;
-  TxDesc me, enemy;
-  init_desc(me, tc_->slot(), 10);
-  init_desc(enemy, 1, 20);
-  cm.on_begin(*tc_, me, false);
-  EXPECT_EQ(cm.resolve(*tc_, me, enemy, ConflictKind::kWriteWrite), Resolution::kRetry);
-  cm.on_begin(*tc_, me, false);  // new logical transaction: list reset
-  EXPECT_EQ(cm.resolve(*tc_, me, enemy, ConflictKind::kWriteWrite), Resolution::kRetry);
-}
-
-TEST_F(CmTest, EruptionHigherPressureWins) {
-  Eruption cm;
-  TxDesc me, enemy;
-  init_desc(me, tc_->slot(), 10);
-  init_desc(enemy, 1, 20);
-  me.karma.store(5);
-  enemy.karma.store(2);
-  EXPECT_EQ(cm.resolve(*tc_, me, enemy, ConflictKind::kWriteWrite), Resolution::kAbortEnemy);
-}
-
-TEST_F(CmTest, EruptionTransfersPressureWhileBlocked) {
-  Eruption cm;
-  TxDesc me, enemy;
-  init_desc(me, tc_->slot(), 10);
-  init_desc(enemy, 1, 20);
-  me.karma.store(3);
-  enemy.karma.store(7);
-  EXPECT_EQ(cm.resolve(*tc_, me, enemy, ConflictKind::kWriteWrite), Resolution::kRetry);
-  // Our pressure (3 + 1) moved onto the blocker.
-  EXPECT_EQ(enemy.karma.load(), 11u);
 }
 
 TEST_F(CmTest, RandomizedRoundsLowerDrawWins) {
@@ -328,81 +241,6 @@ TEST_F(CmTest, RandomizedRoundsDrawsInRange) {
     EXPECT_GE(p, 1u);
     EXPECT_LE(p, 8u);
   }
-}
-
-TEST_F(CmTest, AtsSerializesAboveThreshold) {
-  Ats cm(/*ci_threshold=*/0.5, /*alpha=*/0.0);  // alpha 0: CI = last outcome
-  TxDesc tx;
-  init_desc(tx, tc_->slot(), 10);
-  // Low CI: no serialization.
-  cm.on_begin(*tc_, tx, false);
-  cm.on_commit(*tc_, tx);
-  EXPECT_EQ(cm.serialized_begins(), 0u);
-  // An abort pushes CI to 1 > threshold: the next begin takes the lane.
-  cm.on_begin(*tc_, tx, false);
-  cm.on_abort(*tc_, tx);
-  EXPECT_GT(cm.ci_of(tc_->slot()), 0.5);
-  cm.on_begin(*tc_, tx, true);
-  EXPECT_EQ(cm.serialized_begins(), 1u);
-  cm.on_commit(*tc_, tx);  // releases the lane
-  EXPECT_LT(cm.ci_of(tc_->slot()), 0.5);
-}
-
-TEST_F(CmTest, AtsResolvesLikeTimestamp) {
-  Ats cm;
-  TxDesc old_tx, young_tx;
-  init_desc(old_tx, 0, 10);
-  init_desc(young_tx, 1, 20);
-  EXPECT_EQ(cm.resolve(*tc_, old_tx, young_tx, ConflictKind::kWriteWrite),
-            Resolution::kAbortEnemy);
-  young_tx.status.store(TxStatus::kAborted);
-  EXPECT_EQ(cm.resolve(*tc_, young_tx, old_tx, ConflictKind::kWriteWrite),
-            Resolution::kAbortSelf);
-}
-
-TEST_F(CmTest, StealOnAbortRegistersTheAborter) {
-  StealOnAbort cm;
-  TxDesc me, enemy;
-  init_desc(me, tc_->slot(), 10);
-  init_desc(enemy, 1, 20);
-  const auto refs_before = me.refs.load();
-  EXPECT_EQ(cm.resolve(*tc_, me, enemy, ConflictKind::kWriteWrite), Resolution::kAbortEnemy);
-  EXPECT_EQ(enemy.aborted_by.load(), &me);
-  EXPECT_EQ(me.refs.load(), refs_before + 1);
-  // The victim's cleanup path releases the registration.
-  TxDesc* by = enemy.aborted_by.exchange(nullptr);
-  by->release();
-  EXPECT_EQ(me.refs.load(), refs_before);
-}
-
-TEST_F(CmTest, StealOnAbortLateRegistrationIsReleasedWithTheVictim) {
-  // The aborter registers on a victim whose cleanup already ran (nothing
-  // left to claim aborted_by); the victim's last release must drop the
-  // registration's reference, or the aborter's block never comes back.
-  StealOnAbort cm;
-  TxDesc me;
-  init_desc(me, tc_->slot(), 10);
-  auto* victim = new (util::Pool::allocate(nullptr, sizeof(TxDesc))) TxDesc();
-  init_desc(*victim, 1, 20);
-  const auto refs_before = me.refs.load();
-  EXPECT_EQ(cm.resolve(*tc_, me, *victim, ConflictKind::kWriteWrite), Resolution::kAbortEnemy);
-  EXPECT_EQ(me.refs.load(), refs_before + 1);
-  victim->release();  // its only reference: the descriptor is recycled
-  EXPECT_EQ(me.refs.load(), refs_before);
-}
-
-TEST_F(CmTest, StealOnAbortVictimWaitsForFinishedAborter) {
-  StealOnAbort cm;
-  TxDesc me, aborter;
-  init_desc(me, tc_->slot(), 10);
-  init_desc(aborter, 1, 5);
-  aborter.add_ref();
-  me.aborted_by.store(&aborter);
-  aborter.status.store(TxStatus::kCommitted);  // already done: no blocking
-  cm.on_abort(*tc_, me);     // claims the registration
-  cm.on_begin(*tc_, me, true);  // waits (returns immediately) and releases
-  EXPECT_EQ(me.aborted_by.load(), nullptr);
-  EXPECT_EQ(aborter.refs.load(), 1);
 }
 
 TEST(CmRegistry, CreatesEveryAdvertisedManager) {

@@ -12,6 +12,8 @@
 #include <utility>
 #include <vector>
 
+#include "check/hooks.hpp"
+#include "cm/manager.hpp"
 #include "cm/registry.hpp"
 #include "harness/runner.hpp"
 #include "harness/workload.hpp"
@@ -54,9 +56,9 @@ TEST(OrecBasic, ReadWriteCommitAndParse) {
   EXPECT_EQ(m.orec_lock_acquires, 2u);
 }
 
-// Lazy publication (DESIGN.md §5): an orec attempt that takes no lock and
-// never arbitrates runs on its thread's never-published descriptor, reused in
-// place, and leaves the thread's published slot alone. A write publishes.
+// Lazy publication (DESIGN.md §5): an orec attempt that takes no lock runs
+// on its thread's never-published descriptor, reused in place, and leaves
+// the thread's published slot alone. A write publishes.
 TEST(OrecBasic, ReadOnlyAttemptsPublishNothing) {
   auto rt = make_orec_runtime();
   ThreadCtx& tc = rt->attach_thread();
@@ -81,6 +83,66 @@ TEST(OrecBasic, ReadOnlyAttemptsPublishNothing) {
   EXPECT_NE(rt->tx_of_slot(tc.slot()), writer);
   EXPECT_EQ(rt->tx_of_slot(tc.slot()), reused) << "the write publishes the spare";
   EXPECT_EQ(rt->total_metrics().commits, 102u);
+}
+
+// The lock CAS is orec's one exposure site: a read-only attempt that meets
+// an active lock holder arbitrates on its never-published descriptor and
+// commits without touching its thread's published slot. A test-local
+// schedule hook holds the writer at its first read-set validation point,
+// after its lock CAS, until the reader's manager has seen the conflict.
+TEST(OrecBasic, ArbitrationLeavesAttemptUnpublished) {
+  struct HoldWriter final : check::SchedulerHook {
+    std::atomic<bool> holding{false};
+    std::atomic<bool> released{false};
+    // Only the writer reaches kOrecValidate before the release: the reader's
+    // read set is still empty when it meets the lock.
+    check::Action on_point(check::Point p, const void*) noexcept override {
+      if (p == check::Point::kOrecValidate && !released.load()) {
+        holding.store(true);
+        while (!released.load()) std::this_thread::yield();
+      }
+      return check::Action::kProceed;
+    }
+  };
+  struct ProbeManager final : cm::ContentionManager {
+    HoldWriter* hook = nullptr;
+    std::atomic<int> resolves{0};
+    std::atomic<int> published_at_resolve{0};
+    std::string name() const override { return "UnpublishedProbe"; }
+    Resolution resolve(ThreadCtx& self, TxDesc& tx, TxDesc&, ConflictKind) override {
+      resolves.fetch_add(1);
+      if (self.runtime().tx_of_slot(self.slot()) == &tx) published_at_resolve.fetch_add(1);
+      hook->released.store(true);
+      return Resolution::kRetry;  // wait the writer out
+    }
+  };
+
+  HoldWriter hook;
+  auto manager = std::make_unique<ProbeManager>();
+  ProbeManager* probe = manager.get();
+  probe->hook = &hook;
+  RuntimeConfig cfg;
+  cfg.backend = BackendKind::kOrec;
+  cfg.checker = &hook;
+  Runtime rt(std::move(manager), cfg);
+  TObject<long> obj(1);
+
+  std::thread writer([&] {
+    ThreadCtx& wtc = rt.attach_thread();
+    rt.atomically(wtc, [&](Tx& tx) { *obj.open_write(tx) = 2; });
+  });
+  while (!hook.holding.load()) std::this_thread::yield();
+
+  ThreadCtx& tc = rt.attach_thread();
+  const TxDesc* before = rt.tx_of_slot(tc.slot());
+  const long v = rt.atomically(tc, [&](Tx& tx) { return *obj.open_read(tx); });
+  writer.join();
+
+  EXPECT_EQ(v, 2) << "the reader waited for the writer's commit";
+  EXPECT_GE(probe->resolves.load(), 1);
+  EXPECT_EQ(probe->published_at_resolve.load(), 0) << "arbitrate() published the reader";
+  EXPECT_EQ(rt.tx_of_slot(tc.slot()), before) << "the read-only commit published";
+  EXPECT_EQ(rt.total_metrics().commits, 2u);
 }
 
 TEST(OrecBasic, ReadYourWritesAndUpgrade) {

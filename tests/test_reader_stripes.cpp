@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -31,7 +32,7 @@ TEST(ReaderStripes, SlotArithmeticRoundTrips) {
     const unsigned bit_index = static_cast<unsigned>(__builtin_ctzll(bit));
     EXPECT_EQ(ReaderStripes::slot_at(stripe, bit_index), slot);
   }
-  static_assert(Runtime::kMaxThreads <= ReaderStripes::kCapacity);
+  static_assert(kMaxThreads <= ReaderStripes::kCapacity);
 }
 
 TEST(ReaderStripes, AnnounceClearAllSlotsIndependently) {
@@ -54,13 +55,26 @@ TEST(ReaderStripes, AnnounceClearAllSlotsIndependently) {
 // More than 64 threads hold visible-read transactions on ONE object at the
 // same instant — beyond the old bitmap's ceiling. Each parks inside its
 // transaction until every thread has its read announced, then commits.
-TEST(ReaderStripes, MoreThanSixtyFourSimultaneousVisibleReaders) {
+// Parametrized over managers that keep per-slot state (Polka's saved karma,
+// WindowCM's per-thread window), which must cover every runtime slot.
+class ReaderStripesCm : public ::testing::TestWithParam<std::string> {};
+
+INSTANTIATE_TEST_SUITE_P(Cms, ReaderStripesCm,
+                         ::testing::Values("Polka", "Online-Dynamic"), [](const auto& info) {
+                           std::string n = info.param;
+                           for (char& c : n) {
+                             if (c == '-') c = '_';
+                           }
+                           return n;
+                         });
+
+TEST_P(ReaderStripesCm, MoreThanSixtyFourSimultaneousVisibleReaders) {
   constexpr unsigned kReaders = 80;
-  static_assert(kReaders > 64 && kReaders <= Runtime::kMaxThreads);
+  static_assert(kReaders > 64 && kReaders <= kMaxThreads);
   cm::Params params;
   params.threads = kReaders;
   RuntimeConfig cfg;  // visible reads (default)
-  auto rt = std::make_unique<Runtime>(cm::make_manager("Polite", params), cfg);
+  auto rt = std::make_unique<Runtime>(cm::make_manager(GetParam(), params), cfg);
   TObject<long> obj(42);
   std::atomic<unsigned> inside{0};
   std::vector<std::thread> readers;

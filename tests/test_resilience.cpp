@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -315,6 +316,63 @@ TEST(Watchdog, KicksStalledTransactionWhichThenCommits) {
   EXPECT_GE(ls.stalls_flagged, 1u);
   EXPECT_GE(ls.kicks, 1u);
   EXPECT_GT(rt.total_metrics().watchdog_flags, 0u);
+}
+
+// The watchdog covers every runtime slot: an attempt that stalls on a slot
+// above 64 is flagged and kicked like any other. Parametrized over managers
+// that keep per-slot state (Polka's saved karma, WindowCM's per-thread
+// window), which must take a slot that high too.
+class WatchdogSlots : public ::testing::TestWithParam<std::string> {};
+
+INSTANTIATE_TEST_SUITE_P(Cms, WatchdogSlots, ::testing::Values("Polka", "Online-Dynamic"),
+                         [](const auto& info) {
+                           std::string n = info.param;
+                           for (char& c : n) {
+                             if (c == '-') c = '_';
+                           }
+                           return n;
+                         });
+
+TEST_P(WatchdogSlots, KicksStalledTransactionOnSlotAboveSixtyFour) {
+  constexpr unsigned kThreads = 80;
+  cm::Params params;
+  params.threads = kThreads;
+  stm::RuntimeConfig cfg;
+  cfg.liveness.enabled = true;
+  cfg.liveness.watchdog_period_ns = 1'000'000;
+  cfg.liveness.stall_timeout_ns = 5'000'000;
+  cfg.liveness.kick_stalled = true;
+  cfg.liveness.storm_threshold = 1'000'000;
+  cfg.liveness.backoff_after = 1'000'000;
+  cfg.liveness.boost_after = 1'000'000;
+  cfg.liveness.serial_after = 1'000'000;
+  Runtime rt(cm::make_manager(GetParam(), params), cfg);
+  TObject<Cell> obj(Cell{0});
+
+  // Idle contexts take the lower slots, so the transaction runs on the last.
+  for (unsigned i = 0; i + 1 < kThreads; ++i) rt.attach_thread();
+  ThreadCtx& tc = rt.attach_thread();
+  ASSERT_EQ(tc.slot(), kThreads - 1);
+
+  std::atomic<int> attempts{0};
+  rt.atomically(tc, [&](Tx& tx) {
+    const int attempt = attempts.fetch_add(1, std::memory_order_acq_rel);
+    obj.open_write(tx)->value += 1;
+    if (attempt == 0) {
+      // No schedule-point progress until the watchdog kicks this attempt.
+      // A scan that skips the slot never kicks, and the wait runs out.
+      const std::int64_t give_up = now_ns() + 10'000'000'000;
+      while (rt.liveness()->stats().kicks == 0 && now_ns() < give_up) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+  });
+
+  EXPECT_GE(attempts.load(), 2) << "stalled attempt was never kicked";
+  EXPECT_EQ(obj.peek()->value, 1);
+  const LivenessManager::Stats ls = rt.liveness()->stats();
+  EXPECT_GE(ls.stalls_flagged, 1u);
+  EXPECT_GE(ls.kicks, 1u);
 }
 
 // ---- quiescence-safe shutdown ----------------------------------------------

@@ -508,7 +508,7 @@ TEST(ServeOpenLoop, SmokeAtEightWorkersSustainsLoadAndValidates) {
   serve_cfg.queue_capacity = 1024;
 
   const harness::OpenLoopResult r =
-      harness::run_open_loop("Karma", cm::Params{}, *workload, run, serve_cfg);
+      harness::run_open_loop("Polka", cm::Params{}, *workload, run, serve_cfg);
 
   EXPECT_TRUE(r.base.valid) << r.base.why;
   EXPECT_GT(r.offered, 0u);

@@ -176,14 +176,6 @@ TEST(Table, CsvQuotesSpecials) {
   EXPECT_NE(t.to_csv().find("\"a,b\""), std::string::npos);
 }
 
-TEST(Backoff, RoundsAdvanceAndReset) {
-  Backoff b(4, 4);
-  for (int i = 0; i < 10; ++i) b.pause();
-  EXPECT_EQ(b.rounds(), 10u);
-  b.reset();
-  EXPECT_EQ(b.rounds(), 0u);
-}
-
 TEST(Backoff, YieldUntilHonorsPredicate) {
   int calls = 0;
   const bool done = yield_until(std::chrono::milliseconds(50), [&] { return ++calls >= 2; });

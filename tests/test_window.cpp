@@ -2,11 +2,14 @@
 // the dynamic frame controller, the CI estimator, and WindowCM behavior.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 
 #include "cm/registry.hpp"
 #include "stm/runtime.hpp"
+#include "util/timing.hpp"
 #include "window/ci_estimator.hpp"
 #include "window/controller.hpp"
 #include "window/frame_clock.hpp"
@@ -150,7 +153,7 @@ TEST_F(WindowCmTest, RejectsBadOptions) {
   WindowOptions opt;
   opt.threads = 0;
   EXPECT_THROW(WindowCM("x", opt), std::invalid_argument);
-  opt.threads = 65;
+  opt.threads = stm::kMaxThreads + 1;
   EXPECT_THROW(WindowCM("x", opt), std::invalid_argument);
   opt.threads = 4;
   opt.window_n = 0;
@@ -178,20 +181,41 @@ TEST_F(WindowCmTest, WindowsAutoRollEveryNTransactions) {
 }
 
 TEST_F(WindowCmTest, TauEstimateTracksCommittedDurations) {
+  // On a virtual clock every committed attempt lasts exactly kStep: the
+  // body is the only thing that advances time. The estimate is an EWMA of
+  // weight 1/8 (WindowCM::note_tau_sample), so after n samples it sits at
+  // kStep + (1 - 1/8)^n * (initial - kStep), plus at most 7 ns of rounding
+  // (kStep is a multiple of 8, and each integer step floors by < 1 ns).
+  constexpr std::int64_t kStep = 2'000;
+  constexpr int kCommits = 16;
+  std::atomic<std::int64_t> vclock{1'000'000};
+  struct ClockGuard {
+    explicit ClockGuard(std::atomic<std::int64_t>* c) { set_virtual_clock(c); }
+    ~ClockGuard() { set_virtual_clock(nullptr); }
+  } guard(&vclock);
+
   cm::Params params;
   params.threads = 1;
   stm::Runtime rt(cm::make_manager("Online", params));
   auto* wcm = dynamic_cast<WindowCM*>(&rt.manager());
+  ASSERT_NE(wcm, nullptr);
   stm::ThreadCtx& tc = rt.attach_thread();
-  const auto initial = wcm->tau_estimate_ns();
+  const std::int64_t initial = wcm->tau_estimate_ns();
+  ASSERT_GT(initial, kStep);
   stm::TObject<int> obj(0);
-  for (int i = 0; i < 200; ++i) {
-    rt.atomically(tc, [&](stm::Tx& tx) { *obj.open_write(tx) += 1; });
+  for (int i = 0; i < kCommits; ++i) {
+    rt.atomically(tc, [&](stm::Tx& tx) {
+      *obj.open_write(tx) += 1;
+      vclock.fetch_add(kStep, std::memory_order_relaxed);
+    });
   }
-  // Trivial transactions are far faster than the initial 20us guess: the
-  // EWMA must have moved down.
-  EXPECT_LT(wcm->tau_estimate_ns(), initial);
-  EXPECT_GT(wcm->tau_estimate_ns(), 0);
+  EXPECT_EQ(rt.total_metrics().aborts, 0u);
+  const double expected =
+      static_cast<double>(kStep) +
+      std::pow(1.0 - 1.0 / 8, kCommits) * static_cast<double>(initial - kStep);
+  const auto tau = static_cast<double>(wcm->tau_estimate_ns());
+  EXPECT_GE(tau, std::floor(expected));
+  EXPECT_LE(tau, expected + 7.0);
 }
 
 TEST_F(WindowCmTest, ResolvePrefersHighPriorityClass) {

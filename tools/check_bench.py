@@ -180,8 +180,7 @@ MAX_CLOCK_READS_PER_TX = 0.05
 
 
 # Fixed-cost rows whose transactions are never exposed: an orec attempt
-# that takes no lock and never arbitrates runs on its thread's
-# never-published descriptor.
+# that takes no lock runs on its thread's never-published descriptor.
 UNEXPOSED_ROWS = ("BM_EmptyTransaction/orec", "BM_ReadOneObject/orec")
 
 
