@@ -1,9 +1,10 @@
 // Window-tuning walkthrough: runs an adaptive window-based contention
 // manager on a contended list and shows its internals evolve — the per-
 // thread contention estimates C_i, the contention-intensity (CI) values,
-// window restarts caused by bad events, the frame-clock tau estimate, and
-// dynamic frame contraction. Useful for understanding what the knobs in
-// window::WindowOptions actually do before sweeping bench/ablation_frames.
+// window restarts caused by bad events, the tau estimate that sets static
+// frame lengths, and dynamic frame contraction. Useful for understanding
+// what the knobs in window::WindowOptions actually do before sweeping
+// bench/ablation_frames.
 //
 //   ./build/examples/window_tuning --cm=Adaptive-Improved-Dynamic --threads=8
 #include <cstdio>
@@ -78,11 +79,14 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(snap.bad_events), snap.c_est, snap.ci,
                 static_cast<unsigned long long>(snap.delay_q));
   }
-  std::printf("\nglobal tau estimate: %.1f us (frame length scales with it)\n",
-              static_cast<double>(wcm->tau_estimate_ns()) / 1000.0);
+  // Dynamic frames end when they drain, so tau sets no frame length there
+  // (and abort-mode dynamic variants do not estimate it at all).
   if (wcm->options().dynamic_frames) {
-    std::printf("dynamic frame contractions: %llu (frames advanced as soon as drained)\n",
+    std::printf("\ndynamic frame contractions: %llu (frames advanced as soon as drained)\n",
                 static_cast<unsigned long long>(wcm->controller().advances()));
+  } else {
+    std::printf("\nglobal tau estimate: %.1f us (frame length scales with it)\n",
+                static_cast<double>(wcm->tau_estimate_ns()) / 1000.0);
   }
   const stm::ThreadMetrics m = rt.total_metrics();
   std::printf("commits: %llu, aborts: %llu\n", static_cast<unsigned long long>(m.commits),

@@ -1,6 +1,7 @@
 #include "serve/queue.hpp"
 
 #include <chrono>
+#include <new>
 
 namespace wstm::serve {
 
@@ -17,23 +18,22 @@ std::size_t round_up_pow2(std::size_t v) {
 BoundedQueue::BoundedQueue(std::size_t capacity) {
   const std::size_t cap = round_up_pow2(capacity < 2 ? 2 : capacity);
   mask_ = cap - 1;
-  cells_ = std::make_unique<Cell[]>(cap);
-  for (std::size_t i = 0; i < cap; ++i) {
-    cells_[i].seq.store(i, std::memory_order_relaxed);
-  }
+  // All-zero cells are the initial state (Cell::seq_minus_index).
+  cells_.reset(static_cast<Cell*>(std::calloc(cap, sizeof(Cell))));
+  if (!cells_) throw std::bad_alloc();
 }
 
 BoundedQueue::PushResult BoundedQueue::try_push(const TxRequest& req) {
   if (closed_.load(std::memory_order_acquire)) return PushResult::kClosed;
   std::uint64_t pos = tail_.load(std::memory_order_relaxed);
   for (;;) {
-    Cell& cell = cells_[pos & mask_];
-    const std::uint64_t seq = cell.seq.load(std::memory_order_acquire);
+    const std::size_t index = pos & mask_;
+    const std::uint64_t seq = seq_of(index).load(std::memory_order_acquire) + index;
     const std::int64_t dif = static_cast<std::int64_t>(seq) - static_cast<std::int64_t>(pos);
     if (dif == 0) {
       if (tail_.compare_exchange_weak(pos, pos + 1, std::memory_order_relaxed)) {
-        cell.req = req;
-        cell.seq.store(pos + 1, std::memory_order_release);
+        cells_[index].req = req;
+        seq_of(index).store(pos + 1 - index, std::memory_order_release);
         note_depth(pos + 1 - head_.load(std::memory_order_acquire));
         wake_consumer();
         return PushResult::kOk;
@@ -79,14 +79,14 @@ BoundedQueue::PushResult BoundedQueue::push_wait(const TxRequest& req) {
 bool BoundedQueue::try_pop(TxRequest* out) {
   std::uint64_t pos = head_.load(std::memory_order_relaxed);
   for (;;) {
-    Cell& cell = cells_[pos & mask_];
-    const std::uint64_t seq = cell.seq.load(std::memory_order_acquire);
+    const std::size_t index = pos & mask_;
+    const std::uint64_t seq = seq_of(index).load(std::memory_order_acquire) + index;
     const std::int64_t dif =
         static_cast<std::int64_t>(seq) - static_cast<std::int64_t>(pos + 1);
     if (dif == 0) {
       if (head_.compare_exchange_weak(pos, pos + 1, std::memory_order_relaxed)) {
-        *out = cell.req;
-        cell.seq.store(pos + mask_ + 1, std::memory_order_release);
+        *out = cells_[index].req;
+        seq_of(index).store(pos + mask_ + 1 - index, std::memory_order_release);
         wake_producer();
         return true;
       }

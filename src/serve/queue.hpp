@@ -12,11 +12,16 @@
 //
 // close() wakes everything; after it, push fails with kClosed and pop
 // drains the remaining items before returning false.
+//
+// The ring is allocated zeroed and all-zero bytes are its initial state, so
+// construction touches none of its cells: a fresh allocation's pages are
+// faulted on the ring's first lap, not when the queue is built.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <mutex>
 
@@ -76,16 +81,24 @@ class BoundedQueue {
 
  private:
   struct Cell {
-    std::atomic<std::uint64_t> seq;
+    /// Vyukov's per-cell sequence minus the cell's index: cell i starts at
+    /// sequence i, which is stored as 0. Accessed only via seq_of().
+    std::uint64_t seq_minus_index;
     TxRequest req;
   };
+  struct FreeCells {
+    void operator()(Cell* cells) const noexcept { std::free(cells); }
+  };
 
+  std::atomic_ref<std::uint64_t> seq_of(std::size_t index) noexcept {
+    return std::atomic_ref<std::uint64_t>(cells_[index].seq_minus_index);
+  }
   void note_depth(std::uint64_t depth) noexcept;
   void wake_consumer() noexcept;
   void wake_producer() noexcept;
 
   std::size_t mask_;
-  std::unique_ptr<Cell[]> cells_;
+  std::unique_ptr<Cell[], FreeCells> cells_;
   alignas(kCacheLine) std::atomic<std::uint64_t> tail_{0};  // next push slot
   alignas(kCacheLine) std::atomic<std::uint64_t> head_{0};  // next pop slot
   alignas(kCacheLine) std::atomic<bool> closed_{false};

@@ -14,6 +14,7 @@ WindowCM::WindowCM(std::string name, WindowOptions options)
     : name_(std::move(name)),
       options_(options),
       tau_ns_(options.tau_init_ns),
+      samples_tau_(!options.dynamic_frames || options.requester_waits),
       epoch_ns_(now_ns()) {
   if (options_.threads == 0 || options_.threads > stm::kMaxThreads) {
     throw std::invalid_argument("WindowCM: threads must be in [1, " +
@@ -30,6 +31,7 @@ void WindowCM::start_window(stm::ThreadCtx& self, PerThread& st) {
   if (st.windows_started == 0) {
     st.c_est = options_.initial_c;
     st.ci.set_alpha(options_.ci_alpha);
+    c_beacon_.store(st.c_est, std::memory_order_relaxed);
   }
   st.n = st.pending_n != 0 ? st.pending_n : options_.window_n;
   st.pending_n = 0;
@@ -37,16 +39,15 @@ void WindowCM::start_window(stm::ThreadCtx& self, PerThread& st) {
   st.in_window = true;
   st.windows_started++;
 
-  const std::int64_t now = now_ns();
-  const std::int64_t tau = tau_ns_.load(std::memory_order_relaxed);
-  const std::int64_t phi = frame_length_ns(options_.threads, st.n, options_.frame_factor,
-                                           options_.frame_log_exponent, tau);
   const std::uint64_t alpha = delay_range_alpha(st.c_est, options_.threads, st.n);
   st.q = self.rng().below(alpha);
   if (options_.dynamic_frames) {
     st.base_frame = controller_.current_frame();
   } else {
-    st.clock.start(now, phi);
+    const std::int64_t phi =
+        frame_length_ns(options_.threads, st.n, options_.frame_factor,
+                        options_.frame_log_exponent, tau_ns_.load(std::memory_order_relaxed));
+    st.clock.start(now_ns(), phi);
     st.base_frame = 0;
   }
   // Tracing baseline: static clocks restart at the window start, so the
@@ -83,8 +84,8 @@ void WindowCM::maybe_trace_frame(stm::ThreadCtx& self, PerThread& st, const stm:
   }
 }
 
-void WindowCM::advance_dynamic(stm::ThreadCtx& self, const stm::TxDesc& tx, std::int64_t now) {
-  const std::uint64_t advanced = controller_.maybe_advance(now);
+void WindowCM::advance_dynamic(stm::ThreadCtx& self, const stm::TxDesc& tx) {
+  const std::uint64_t advanced = controller_.maybe_advance();
   if (recorder_ != nullptr && advanced > 0) {
     const std::uint64_t cur = controller_.current_frame();
     recorder_->record(self.slot(), trace::EventKind::kFrameAdvance, tx.serial, 1, trace::kNoEnemy,
@@ -94,16 +95,14 @@ void WindowCM::advance_dynamic(stm::ThreadCtx& self, const stm::TxDesc& tx, std:
 
 void WindowCM::on_begin(stm::ThreadCtx& self, stm::TxDesc& tx, bool is_retry) {
   PerThread& st = *state_[self.slot()];
-  const std::int64_t now = now_ns();
 
   if (!is_retry) {
     const bool fresh = !st.in_window || st.j >= st.n;
     if (fresh) start_window(self, st);
     st.assigned_frame = st.base_frame + st.q + st.j;
-    if (options_.dynamic_frames) {
-      controller_.register_tx(st.assigned_frame, now);
-      st.registered = true;
-    }
+    // Replaces the slot's registration of a transaction that ended by
+    // exception, and runs the contraction rule.
+    if (options_.dynamic_frames) controller_.register_tx(self.slot(), st.assigned_frame);
     if (recorder_ != nullptr && fresh) {
       recorder_->record(self.slot(), trace::EventKind::kWindowStart, tx.serial, 0, trace::kNoEnemy,
                         st.q, st.n);
@@ -120,7 +119,8 @@ void WindowCM::on_begin(stm::ThreadCtx& self, stm::TxDesc& tx, bool is_retry) {
   maybe_trace_frame(self, st, tx);
   refresh_priority(self, st, tx);
 
-  if (options_.dynamic_frames) advance_dynamic(self, tx, now);
+  // A first attempt's registration just ran the contraction rule.
+  if (options_.dynamic_frames && is_retry) advance_dynamic(self, tx);
 }
 
 stm::Resolution WindowCM::resolve(stm::ThreadCtx& self, stm::TxDesc& tx, stm::TxDesc& enemy,
@@ -128,7 +128,7 @@ stm::Resolution WindowCM::resolve(stm::ThreadCtx& self, stm::TxDesc& tx, stm::Tx
   (void)kind;
   PerThread& st = *state_[self.slot()];
   st.conflicted_this_attempt = true;
-  if (options_.dynamic_frames) advance_dynamic(self, tx, now_ns());
+  if (options_.dynamic_frames) advance_dynamic(self, tx);
   refresh_priority(self, st, tx);
 
   // Lexicographic comparison of the priority vectors (π1, π2), ties broken
@@ -180,18 +180,11 @@ stm::Resolution WindowCM::resolve(stm::ThreadCtx& self, stm::TxDesc& tx, stm::Tx
 
 void WindowCM::on_commit(stm::ThreadCtx& self, stm::TxDesc& tx) {
   PerThread& st = *state_[self.slot()];
-  const std::int64_t now = now_ns();
-  note_tau_sample(now - tx.begin_ns);
+  if (samples_tau_) note_tau_sample(now_ns() - tx.begin_ns);
   st.ci.on_attempt_end(st.conflicted_this_attempt);
 
   const std::uint64_t commit_frame = frame_now(st);
-  // frame_schedule() beacon: last-writer-wins contention estimate. Lost
-  // updates only lag the serving layer's α by a commit or two.
-  c_beacon_.store(st.c_est, std::memory_order_relaxed);
-  if (options_.dynamic_frames && st.registered) {
-    controller_.complete_tx(st.assigned_frame, now);
-    st.registered = false;
-  }
+  if (options_.dynamic_frames) controller_.complete_tx(self.slot());
 
   const bool bad_event = commit_frame > st.assigned_frame;
   if (recorder_ != nullptr) {
@@ -213,9 +206,13 @@ void WindowCM::on_commit(stm::ThreadCtx& self, stm::TxDesc& tx) {
         st.c_est = st.ci.contention_estimate(options_.threads, st.n);
         break;
     }
-    if (recorder_ != nullptr && st.c_est != old_c) {
-      recorder_->record(self.slot(), trace::EventKind::kCiUpdate, tx.serial, 1, trace::kNoEnemy,
-                        trace::pack_double(st.c_est), trace::pack_double(st.ci.value()));
+    if (st.c_est != old_c) {
+      c_beacon_.store(st.c_est, std::memory_order_relaxed);
+      if (recorder_ != nullptr) {
+        recorder_->record(self.slot(), trace::EventKind::kCiUpdate, tx.serial, 1,
+                          trace::kNoEnemy, trace::pack_double(st.c_est),
+                          trace::pack_double(st.ci.value()));
+      }
     }
     if (options_.adapt != WindowOptions::Adapt::kNone && st.j < st.n) {
       // "start over again with the remaining transactions" — the next

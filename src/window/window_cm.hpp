@@ -95,7 +95,8 @@ class WindowCM final : public cm::ContentionManager {
   /// instead the schedule reports a synthetic frame — wall-clock elapsed
   /// since construction over the current frame length Φ — which is monotone
   /// apart from Φ re-estimates and advances at the same rate as the
-  /// per-thread clocks. α comes from a racy c_est beacon updated at commits.
+  /// per-thread clocks. α comes from a racy beacon holding the last c_est
+  /// any thread set.
   bool frame_schedule(cm::FrameSchedule* out) const override;
 
   // --- introspection (tests, diagnostics, EXPERIMENTS.md reporting) ---
@@ -111,6 +112,10 @@ class WindowCM final : public cm::ContentionManager {
   };
   ThreadSnapshot snapshot(unsigned slot) const;
 
+  /// The committed-attempt duration estimate that sets the static frame
+  /// length Φ and bounds a requester-waits park. Dynamic variants in abort
+  /// mode never read it, so they do not sample it: it keeps its initial
+  /// value (WindowOptions::tau_init_ns).
   std::int64_t tau_estimate_ns() const noexcept {
     return tau_ns_.load(std::memory_order_relaxed);
   }
@@ -128,7 +133,6 @@ class WindowCM final : public cm::ContentionManager {
     std::uint64_t base_frame = 0;      // dynamic: controller frame at window start
     FrameClock clock;                  // static variants
     std::uint64_t assigned_frame = 0;  // F for the in-flight transaction
-    bool registered = false;
     bool high = false;
     bool conflicted_this_attempt = false;
     CiEstimator ci;
@@ -148,15 +152,19 @@ class WindowCM final : public cm::ContentionManager {
   void maybe_trace_frame(stm::ThreadCtx& self, PerThread& st, const stm::TxDesc& tx);
   /// Dynamic variants: runs the controller's contraction rule and records
   /// any advance it performed.
-  void advance_dynamic(stm::ThreadCtx& self, const stm::TxDesc& tx, std::int64_t now);
+  void advance_dynamic(stm::ThreadCtx& self, const stm::TxDesc& tx);
 
   std::string name_;
   WindowOptions options_;
   WindowController controller_;
   std::atomic<std::int64_t> tau_ns_;
+  /// Commits sample τ only where something reads it: static frames and
+  /// requester-waits park bounds.
+  const bool samples_tau_;
   /// frame_schedule() support: construction epoch for the static-variant
-  /// synthetic frame, and a last-writer-wins c_est beacon updated at every
-  /// commit so cross-thread readers never touch PerThread state.
+  /// synthetic frame, and a last-writer-wins c_est beacon, stored where a
+  /// thread sets its c_est (first window start, adaptive bad-event update)
+  /// so cross-thread readers never touch PerThread state.
   std::int64_t epoch_ns_ = 0;
   std::atomic<double> c_beacon_{0.0};
   std::array<CacheAligned<PerThread>, stm::kMaxThreads> state_{};

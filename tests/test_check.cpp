@@ -3,6 +3,8 @@
 // and schedule-file round-trips.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -458,5 +460,173 @@ TEST(CheckerWindow, WindowManagerRunsStayClean) {
   const auto er = checker.explore(/*num_schedules=*/3, /*stop_on_violation=*/true);
   EXPECT_EQ(er.violations, 0u) << er.first_violation.diagnosis;
 }
+
+// ---- window decision pins --------------------------------------------------
+
+// CheckerParity pins the seeded-bug replays, none of which runs a window
+// manager. These pins do the same for the window family: every variant on
+// both engines in both arbitration modes, three policy seeds each (the first
+// seeds from 1 up whose runs stay within the step budget: past it the
+// executor free-runs, which no decision log captures). Each run's steps,
+// commits, aborts and a hash of its full decision log must match the
+// recorded values, so any change to a window decision, a frame assignment or
+// a frame advance shows up here.
+struct PinnedRun {
+  std::uint64_t seed;
+  std::uint64_t steps;
+  std::uint64_t commits;
+  std::uint64_t aborts;
+  std::uint64_t decision_hash;
+};
+
+struct PinnedConfig {
+  const char* name;
+  const char* cm;
+  const char* backend;
+  const char* arbitration;
+  std::array<PinnedRun, 3> runs;
+};
+
+void PrintTo(const PinnedConfig& pin, std::ostream* os) { *os << pin.name; }
+
+// FNV-1a over every decision's (vid, point, action).
+std::uint64_t hash_decisions(const std::vector<check::Decision>& decisions) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const check::Decision& d : decisions) {
+    for (const std::uint64_t field : {std::uint64_t{d.vid}, static_cast<std::uint64_t>(d.point),
+                                      static_cast<std::uint64_t>(d.action)}) {
+      h ^= field;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+const PinnedConfig kWindowPins[] = {
+    {"Online_dstm_abort", "Online", "dstm", "abort",
+     {{{1, 871, 48, 33, 0x030f4e08094bfcf6},
+       {2, 1098, 48, 51, 0x38527e07efca3b7a},
+       {3, 781, 48, 27, 0x32c0446e179f9fbe}}}},
+    {"Online_dstm_wait", "Online", "dstm", "wait",
+     {{{1, 1140, 48, 42, 0x1db0e9f080335644},
+       {2, 968, 48, 29, 0xdfe0db13fe0ec408},
+       {3, 923, 48, 26, 0x5b46a78d682efb6b}}}},
+    {"Online_orec_abort", "Online", "orec", "abort",
+     {{{1, 1346, 48, 41, 0xf0bec1b9dad16996},
+       {2, 1319, 48, 39, 0x866b22087daa2918},
+       {3, 925, 48, 16, 0x10e89bdb446441b2}}}},
+    {"Online_orec_wait", "Online", "orec", "wait",
+     {{{2, 1177, 48, 22, 0x6a3640100e8724a7},
+       {3, 1141, 48, 23, 0xbdbdab3fa3fcb10a},
+       {4, 1169, 48, 26, 0x212f9ade671c0b29}}}},
+    {"OnlineDynamic_dstm_abort", "Online-Dynamic", "dstm", "abort",
+     {{{1, 782, 48, 23, 0x23c74fe8290c2aa0},
+       {2, 871, 48, 33, 0x90f21d7a78e89425},
+       {3, 985, 48, 44, 0xb579f68e3dc4de6f}}}},
+    {"OnlineDynamic_dstm_wait", "Online-Dynamic", "dstm", "wait",
+     {{{1, 999, 48, 26, 0xe91a2ba9e9fce020},
+       {2, 998, 48, 28, 0x40d078208c5f7408},
+       {3, 920, 48, 22, 0xbf530e19ba8d2678}}}},
+    {"OnlineDynamic_orec_abort", "Online-Dynamic", "orec", "abort",
+     {{{1, 1125, 48, 28, 0x1135b718139022b0},
+       {2, 1253, 48, 36, 0xcf07106b4510c305},
+       {3, 1272, 48, 42, 0xc562e8d63ceb60e4}}}},
+    {"OnlineDynamic_orec_wait", "Online-Dynamic", "orec", "wait",
+     {{{1, 1356, 48, 29, 0x93b287f23fe0147f},
+       {3, 1196, 48, 25, 0x6a2659a9f20ef861},
+       {4, 1262, 48, 27, 0xfb0a9171b7c48919}}}},
+    {"Adaptive_dstm_abort", "Adaptive", "dstm", "abort",
+     {{{1, 787, 48, 26, 0x648d8cce6fc6accf},
+       {2, 1017, 48, 51, 0x582d990cc31d4157},
+       {3, 904, 48, 35, 0xf2fab9e0212bb408}}}},
+    {"Adaptive_dstm_wait", "Adaptive", "dstm", "wait",
+     {{{1, 1229, 48, 51, 0xdcc126fd65663f6c},
+       {2, 1057, 48, 40, 0x6c5c3ca734994048},
+       {3, 1067, 48, 32, 0x38f62bebfdcd4a6a}}}},
+    {"Adaptive_orec_abort", "Adaptive", "orec", "abort",
+     {{{1, 1316, 48, 37, 0x1ef7ef4aa4ab51ae},
+       {2, 1660, 48, 62, 0x568e28fea20311b4},
+       {3, 970, 48, 20, 0x1d06fdf80f35b13b}}}},
+    {"Adaptive_orec_wait", "Adaptive", "orec", "wait",
+     {{{1, 1339, 48, 29, 0xc7d947b60273c1e8},
+       {2, 1521, 48, 37, 0x065d7cd2991280f3},
+       {3, 1216, 48, 27, 0x856242dc1b73c817}}}},
+    {"AdaptiveDynamic_dstm_abort", "Adaptive-Dynamic", "dstm", "abort",
+     {{{1, 794, 48, 26, 0x3f0064a06ccd72d4},
+       {2, 871, 48, 33, 0x90f21d7a78e89425},
+       {3, 959, 48, 48, 0xd40e11ec30bede48}}}},
+    {"AdaptiveDynamic_dstm_wait", "Adaptive-Dynamic", "dstm", "wait",
+     {{{1, 922, 48, 28, 0xee6026189629e848},
+       {2, 1080, 48, 32, 0x0acb38c59ea42721},
+       {3, 892, 48, 22, 0xffdae4fec8d46239}}}},
+    {"AdaptiveDynamic_orec_abort", "Adaptive-Dynamic", "orec", "abort",
+     {{{1, 1037, 48, 22, 0x0987563e543efb60},
+       {2, 1263, 48, 36, 0x0d629cc3c64fd952},
+       {3, 1397, 48, 47, 0xeb964f74b8f1c908}}}},
+    {"AdaptiveDynamic_orec_wait", "Adaptive-Dynamic", "orec", "wait",
+     {{{1, 1362, 48, 27, 0x2b9891deecf349de},
+       {2, 1209, 48, 22, 0x9c70ef4e9e771ffa},
+       {3, 1147, 48, 23, 0xe1643eca44169fd7}}}},
+    {"AdaptiveImproved_dstm_abort", "Adaptive-Improved", "dstm", "abort",
+     {{{1, 798, 48, 27, 0xd7993966f3d1980d},
+       {2, 999, 48, 54, 0x645d0e6f0f082645},
+       {3, 972, 48, 46, 0xf2f8f56804f47b3c}}}},
+    {"AdaptiveImproved_dstm_wait", "Adaptive-Improved", "dstm", "wait",
+     {{{1, 1190, 48, 47, 0xb0d1819947130e98},
+       {2, 1007, 48, 31, 0x2c4755fb8d667364},
+       {3, 961, 48, 26, 0x2a84c10c4f893d8d}}}},
+    {"AdaptiveImproved_orec_abort", "Adaptive-Improved", "orec", "abort",
+     {{{1, 1233, 48, 38, 0x06ef28f28280c929},
+       {2, 1254, 48, 39, 0xd9ece88f2636ac3b},
+       {3, 1098, 48, 27, 0x277205d4aa190411}}}},
+    {"AdaptiveImproved_orec_wait", "Adaptive-Improved", "orec", "wait",
+     {{{2, 1378, 48, 32, 0x4ca9962b3404d1c4},
+       {3, 1148, 48, 21, 0x299cc40effa6a3dc},
+       {4, 1396, 48, 31, 0xe62a6d4899011449}}}},
+    {"AdaptiveImprovedDynamic_dstm_abort", "Adaptive-Improved-Dynamic", "dstm", "abort",
+     {{{1, 794, 48, 26, 0x3f0064a06ccd72d4},
+       {2, 871, 48, 33, 0x90f21d7a78e89425},
+       {3, 959, 48, 48, 0xd40e11ec30bede48}}}},
+    {"AdaptiveImprovedDynamic_dstm_wait", "Adaptive-Improved-Dynamic", "dstm", "wait",
+     {{{1, 1009, 48, 36, 0x42c00a0f13db4e4a},
+       {2, 1080, 48, 32, 0x0acb38c59ea42721},
+       {3, 892, 48, 22, 0xffdae4fec8d46239}}}},
+    {"AdaptiveImprovedDynamic_orec_abort", "Adaptive-Improved-Dynamic", "orec", "abort",
+     {{{1, 1037, 48, 22, 0x0987563e543efb60},
+       {2, 1263, 48, 36, 0x0d629cc3c64fd952},
+       {3, 1397, 48, 47, 0xeb964f74b8f1c908}}}},
+    {"AdaptiveImprovedDynamic_orec_wait", "Adaptive-Improved-Dynamic", "orec", "wait",
+     {{{1, 1362, 48, 27, 0x2b9891deecf349de},
+       {2, 1209, 48, 22, 0x9c70ef4e9e771ffa},
+       {3, 1147, 48, 23, 0xe1643eca44169fd7}}}},
+};
+
+class WindowDecisionPin : public ::testing::TestWithParam<PinnedConfig> {};
+
+TEST_P(WindowDecisionPin, RunsMatchRecordedDecisions) {
+  const PinnedConfig& pin = GetParam();
+  CheckConfig c;
+  c.cm = pin.cm;
+  c.backend = pin.backend;
+  c.arbitration = pin.arbitration;
+  c.threads = 3;
+  c.ops_per_thread = 16;
+  c.key_range = 16;
+  c.window_n = 6;
+  for (const PinnedRun& want : pin.runs) {
+    const RunResult r = Checker(c).run_once(want.seed);
+    SCOPED_TRACE("policy seed " + std::to_string(want.seed));
+    EXPECT_FALSE(r.violation) << r.diagnosis;
+    ASSERT_FALSE(r.over_budget);
+    EXPECT_EQ(r.steps, want.steps);
+    EXPECT_EQ(r.metrics.commits, want.commits);
+    EXPECT_EQ(r.metrics.aborts, want.aborts);
+    EXPECT_EQ(hash_decisions(r.schedule.decisions), want.decision_hash);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WindowFamily, WindowDecisionPin, ::testing::ValuesIn(kWindowPins),
+    [](const ::testing::TestParamInfo<PinnedConfig>& info) { return info.param.name; });
 
 }  // namespace

@@ -6,6 +6,9 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "cm/registry.hpp"
 #include "stm/runtime.hpp"
@@ -58,12 +61,12 @@ TEST(FrameClock, AlphaClampsToOneAndN) {
 TEST(Controller, AdvancesWhenFrameDrainsAndSomeoneWaits) {
   WindowController ctl;
   ctl.register_tx(0, 0);
-  ctl.register_tx(1, 0);
+  ctl.register_tx(1, 1);
   EXPECT_EQ(ctl.current_frame(), 0u);
-  ctl.complete_tx(0, 10);
+  ctl.complete_tx(0);
   // Frame 0 drained and frame 1 has a waiter: contraction advances.
   EXPECT_EQ(ctl.current_frame(), 1u);
-  ctl.complete_tx(1, 20);
+  ctl.complete_tx(1);
   // Nothing waits beyond: no pointless advance.
   EXPECT_EQ(ctl.current_frame(), 1u);
 }
@@ -71,29 +74,98 @@ TEST(Controller, AdvancesWhenFrameDrainsAndSomeoneWaits) {
 TEST(Controller, SkipsRunsOfEmptyFrames) {
   WindowController ctl;
   ctl.register_tx(0, 0);
-  ctl.register_tx(7, 0);
-  ctl.complete_tx(0, 5);
+  ctl.register_tx(1, 7);
+  ctl.complete_tx(0);
   EXPECT_EQ(ctl.current_frame(), 7u);  // frames 1..6 were empty
+  EXPECT_EQ(ctl.advances(), 7u);
 }
 
 TEST(Controller, ExpansionHoldsFrameWhilePending) {
   WindowController ctl;
   ctl.register_tx(0, 0);
-  ctl.register_tx(0, 0);
   ctl.register_tx(1, 0);
-  ctl.complete_tx(0, 5);
+  ctl.register_tx(2, 1);
+  ctl.complete_tx(0);
   EXPECT_EQ(ctl.current_frame(), 0u);  // one tx still pending in frame 0
-  ctl.complete_tx(0, 6);
+  ctl.complete_tx(1);
   EXPECT_EQ(ctl.current_frame(), 1u);
 }
 
 TEST(Controller, PendingCountsPerFrame) {
   WindowController ctl;
-  ctl.register_tx(3, 0);
-  ctl.register_tx(3, 0);
-  EXPECT_EQ(ctl.pending(3), 2);
-  ctl.complete_tx(3, 1);
-  EXPECT_EQ(ctl.pending(3), 1);
+  ctl.register_tx(0, 3);
+  ctl.register_tx(1, 3);
+  EXPECT_EQ(ctl.pending(3), 2u);
+  ctl.complete_tx(0);
+  EXPECT_EQ(ctl.pending(3), 1u);
+}
+
+TEST(Controller, HighSlotHoldsItsFrame) {
+  // The scan covers every slot that ever registered, not just the first
+  // `threads` ones: a slot far above the others still holds its frame.
+  WindowController ctl;
+  ctl.register_tx(100, 2);
+  ctl.register_tx(0, 5);
+  EXPECT_EQ(ctl.current_frame(), 2u);
+  EXPECT_EQ(ctl.pending(2), 1u);
+  ctl.complete_tx(100);
+  EXPECT_EQ(ctl.current_frame(), 5u);
+}
+
+TEST(Controller, NewRegistrationReplacesThePrevious) {
+  // A thread has at most one pending transaction: a registration that was
+  // never completed (its transaction ended by exception) is dropped by the
+  // slot's next one instead of holding its frame forever.
+  WindowController ctl;
+  ctl.register_tx(0, 0);
+  ctl.register_tx(1, 3);
+  EXPECT_EQ(ctl.current_frame(), 0u);
+  ctl.register_tx(0, 2);
+  EXPECT_EQ(ctl.pending(0), 0u);
+  EXPECT_EQ(ctl.current_frame(), 2u);
+  ctl.complete_tx(0);
+  EXPECT_EQ(ctl.current_frame(), 3u);
+}
+
+TEST(Controller, ConcurrentFrameNeverDecreasesNorPassesTheFurthestRegistration) {
+  constexpr unsigned kThreads = 8;
+  constexpr int kRounds = 5'000;
+  WindowController ctl;
+  std::atomic<std::uint64_t> furthest{0};  // raised before each registration
+  std::atomic<unsigned> backwards{0};
+  std::atomic<unsigned> beyond{0};
+  std::vector<std::thread> workers;
+  for (unsigned slot = 0; slot < kThreads; ++slot) {
+    workers.emplace_back([&, slot] {
+      std::uint64_t rng = 0x9e3779b97f4a7c15ull * (slot + 1);
+      std::uint64_t last = 0;
+      const auto observe = [&] {
+        const std::uint64_t cur = ctl.current_frame();
+        if (cur < last) backwards.fetch_add(1, std::memory_order_relaxed);
+        if (cur > furthest.load()) beyond.fetch_add(1, std::memory_order_relaxed);
+        last = cur;
+      };
+      for (int i = 0; i < kRounds; ++i) {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        const std::uint64_t frame = ctl.current_frame() + rng % 4;
+        std::uint64_t seen = furthest.load();
+        while (seen < frame && !furthest.compare_exchange_weak(seen, frame)) {
+        }
+        ctl.register_tx(slot, frame);
+        observe();
+        if (rng % 3 == 0) ctl.maybe_advance();
+        ctl.complete_tx(slot);
+        observe();
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  EXPECT_EQ(backwards.load(), 0u);
+  EXPECT_EQ(beyond.load(), 0u);
+  EXPECT_GT(ctl.advances(), 0u);
+  EXPECT_LE(ctl.current_frame(), furthest.load());
 }
 
 TEST(CiEstimatorTest, ConvergesTowardConflictRate) {
@@ -178,6 +250,67 @@ TEST_F(WindowCmTest, WindowsAutoRollEveryNTransactions) {
   EXPECT_EQ(snap.windows_started, 3u);
   EXPECT_EQ(snap.next_index, 2u);
   EXPECT_EQ(*obj.peek(), 12);
+}
+
+TEST_F(WindowCmTest, AbandonedTransactionDoesNotFreezeDynamicFrames) {
+  // A logical transaction that ends by exception never reaches on_commit,
+  // so its frame registration is never completed. The thread's next
+  // registration must replace it; otherwise the abandoned frame stays
+  // pending forever and contraction can never pass it.
+  for (const char* name : {"Online-Dynamic", "Adaptive-Improved-Dynamic"}) {
+    SCOPED_TRACE(name);
+    cm::Params params;
+    params.threads = 1;
+    params.window_n = 4;
+    stm::Runtime rt(cm::make_manager(name, params));
+    auto* wcm = dynamic_cast<WindowCM*>(&rt.manager());
+    ASSERT_NE(wcm, nullptr);
+    stm::ThreadCtx& tc = rt.attach_thread();
+    stm::TObject<int> obj(0);
+    const auto increment = [&](stm::Tx& tx) { *obj.open_write(tx) += 1; };
+
+    for (int i = 0; i < 3; ++i) rt.atomically(tc, increment);
+    EXPECT_EQ(wcm->controller().current_frame(), 2u);
+    EXPECT_THROW(rt.atomically(tc,
+                               [&](stm::Tx& tx) {
+                                 increment(tx);
+                                 throw std::runtime_error("user error");
+                               }),
+                 std::runtime_error);
+    const std::uint64_t after_throw = wcm->controller().current_frame();
+    EXPECT_EQ(after_throw, 3u);
+
+    // One thread, q = 0: three of every four transactions in a window open
+    // a later frame, so 200 commits advance about 150 frames.
+    for (int i = 0; i < 200; ++i) rt.atomically(tc, increment);
+    EXPECT_GT(wcm->controller().current_frame(), after_throw + 100);
+    EXPECT_EQ(*obj.peek(), 203);
+  }
+}
+
+TEST_F(WindowCmTest, BoostedTransactionCompletesItsOwnRegistration) {
+  // An escalation boost pins the assigned frame to the observed one; the
+  // commit must still retire the registration made under the original
+  // frame, and leave other threads' registrations alone.
+  WindowCM cm("Online-Dynamic", base_options(true, WindowOptions::Adapt::kNone));
+  stm::Runtime rt(cm::make_manager("Aggressive", cm::Params{}));
+  stm::ThreadCtx& holder = rt.attach_thread();
+  stm::ThreadCtx& booster = rt.attach_thread();
+  const WindowController& ctl = cm.controller();
+  // C = M gives α = 1, so q = 0 and transaction j is assigned frame j.
+  stm::TxDesc held, first, boosted, next;
+  cm.on_begin(holder, held, false);  // frame 0, stays pending
+  cm.on_begin(booster, first, false);
+  cm.on_commit(booster, first);
+  cm.on_begin(booster, boosted, false);  // frame 1, low while 0 is held
+  ASSERT_EQ(boosted.prio_class.load(), 1u);
+  cm.on_boost(booster, boosted, 2);
+  cm.on_commit(booster, boosted);
+  EXPECT_EQ(ctl.pending(1), 0u);
+  EXPECT_EQ(ctl.pending(0), 1u);
+  cm.on_commit(holder, held);
+  cm.on_begin(booster, next, false);  // frame 2: nothing holds 0 any more
+  EXPECT_EQ(ctl.current_frame(), 2u);
 }
 
 TEST_F(WindowCmTest, TauEstimateTracksCommittedDurations) {
