@@ -13,12 +13,25 @@ namespace {
 
 using namespace wstm;
 
-harness::RepeatedResult run_point(const std::string& cm_name, cm::Params params,
-                                  const harness::RunConfig& base, const std::string& benchmark,
-                                  unsigned runs) {
-  return harness::run_repeated(
-      cm_name, params, [&] { return harness::make_workload(benchmark, 100, 256); }, base,
-      runs);
+bool all_valid = true;
+
+harness::Cell run_point(const std::string& cm_name, cm::Params params,
+                        const harness::RunConfig& base, const std::string& benchmark,
+                        unsigned runs) {
+  harness::Cell cell = harness::repeat(base, runs, [&](const harness::RunConfig& run) {
+    auto workload = harness::make_workload(benchmark, 100, 256);
+    return harness::run_workload(cm_name, params, *workload, run);
+  });
+  std::string why;
+  if (!harness::cell_valid(cell, &why)) {
+    all_valid = false;
+    std::fprintf(stderr, "VALIDATION FAILED [%s]: %s\n", cm_name.c_str(), why.c_str());
+  }
+  return cell;
+}
+
+std::string tput(const harness::Cell& cell) {
+  return harness::format_mean(cell, harness::kThroughput);
 }
 
 }  // namespace
@@ -53,7 +66,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "[ablation/frame-factor] phi=%s ...\n", f.c_str());
       const auto st = run_point("Online", params, base, benchmark, runs);
       const auto dy = run_point("Online-Dynamic", params, base, benchmark, runs);
-      t.add_row({f, Table::num(st.mean_throughput, 0), Table::num(dy.mean_throughput, 0)});
+      t.add_row({f, tput(st), tput(dy)});
     }
     std::cout << "# 1+2. frame-length factor, static vs dynamic frames\n"
               << (csv ? t.to_csv() : t.to_text()) << "\n";
@@ -67,7 +80,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "[ablation/ci-alpha] alpha=%s ...\n", a.c_str());
       const auto st = run_point("Adaptive-Improved", params, base, benchmark, runs);
       const auto dy = run_point("Adaptive-Improved-Dynamic", params, base, benchmark, runs);
-      t.add_row({a, Table::num(st.mean_throughput, 0), Table::num(dy.mean_throughput, 0)});
+      t.add_row({a, tput(st), tput(dy)});
     }
     std::cout << "# 3. CI smoothing alpha (Adaptive-Improved)\n"
               << (csv ? t.to_csv() : t.to_text()) << "\n";
@@ -84,14 +97,13 @@ int main(int argc, char** argv) {
       params.initial_c = cfg.initial_c;
       std::fprintf(stderr, "[ablation/delay] %s ...\n", cfg.label);
       const auto r = run_point("Online-Dynamic", params, base, benchmark, runs);
-      t.add_row({cfg.label, Table::num(r.mean_throughput, 0),
-                 Table::num(r.mean_aborts_per_commit, 3)});
+      t.add_row({cfg.label, tput(r), harness::format_mean(r, harness::kAbortsPerCommit)});
     }
     // RandomizedRounds = Online without frames at all, for reference.
     const auto rr = run_point("RandomizedRounds", cm::Params{}, base, benchmark, runs);
-    t.add_row({"RandomizedRounds (no window)", Table::num(rr.mean_throughput, 0),
-               Table::num(rr.mean_aborts_per_commit, 3)});
+    t.add_row({"RandomizedRounds (no window)", tput(rr),
+               harness::format_mean(rr, harness::kAbortsPerCommit)});
     std::cout << "# 4. random initial delay on/off\n" << (csv ? t.to_csv() : t.to_text());
   }
-  return 0;
+  return all_valid ? 0 : 2;
 }

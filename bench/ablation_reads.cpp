@@ -5,7 +5,7 @@
 // (DESIGN.md §11) but a full pass whenever a fresh commit stamp trips it.
 #include <iostream>
 
-#include "harness/runner.hpp"
+#include "harness/report.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
@@ -37,24 +37,26 @@ int main(int argc, char** argv) {
                "invisible a/c"});
   for (const std::string& benchmark : cli.get_string_list("benchmarks")) {
     for (const std::string& cm_name : cli.get_string_list("cms")) {
-      harness::RepeatedResult results[2];
+      harness::Cell cells[2];
       for (int mode = 0; mode < 2; ++mode) {
         harness::RunConfig cfg = base;
         cfg.runtime.visible_reads = mode == 0;
         std::fprintf(stderr, "[%s] %s %s ...\n", benchmark.c_str(), cm_name.c_str(),
                      cfg.runtime.visible_reads ? "visible" : "invisible");
-        results[mode] = harness::run_repeated(
-            cm_name, cm::Params{},
-            [&] { return harness::make_workload(benchmark, 100, key_range); }, cfg, runs);
-        if (!results[mode].valid) {
+        cells[mode] = harness::repeat(cfg, runs, [&](const harness::RunConfig& run) {
+          auto workload = harness::make_workload(benchmark, 100, key_range);
+          return harness::run_workload(cm_name, cm::Params{}, *workload, run);
+        });
+        std::string why;
+        if (!harness::cell_valid(cells[mode], &why)) {
           all_valid = false;
-          std::fprintf(stderr, "VALIDATION FAILED: %s\n", results[mode].why.c_str());
+          std::fprintf(stderr, "VALIDATION FAILED: %s\n", why.c_str());
         }
       }
-      table.add_row({benchmark, cm_name, Table::num(results[0].mean_throughput, 0),
-                     Table::num(results[1].mean_throughput, 0),
-                     Table::num(results[0].mean_aborts_per_commit, 3),
-                     Table::num(results[1].mean_aborts_per_commit, 3)});
+      table.add_row({benchmark, cm_name, harness::format_mean(cells[0], harness::kThroughput),
+                     harness::format_mean(cells[1], harness::kThroughput),
+                     harness::format_mean(cells[0], harness::kAbortsPerCommit),
+                     harness::format_mean(cells[1], harness::kAbortsPerCommit)});
     }
   }
   std::cout << (cli.get_bool("csv") ? table.to_csv() : table.to_text());

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 1;
   const harness::MatrixSpec spec = harness::matrix_from_cli(cli);
   std::cout << "== Extension benchmarks: kmeans, hashtable ==\n\n";
-  bool ok = harness::run_matrix_and_print(spec, harness::Metric::kThroughput, std::cout);
-  ok = harness::run_matrix_and_print(spec, harness::Metric::kAbortsPerCommit, std::cout) && ok;
+  const bool ok = harness::run_matrix_and_print(
+      spec, {harness::kThroughput, harness::kAbortsPerCommit}, std::cout);
   return ok ? 0 : 2;
 }

@@ -18,6 +18,6 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 1;
   const harness::MatrixSpec spec = harness::matrix_from_cli(cli);
   std::cout << "== Fig. 2: window-based variants, throughput ==\n\n";
-  const bool ok = harness::run_matrix_and_print(spec, harness::Metric::kThroughput, std::cout);
+  const bool ok = harness::run_matrix_and_print(spec, {harness::kThroughput}, std::cout);
   return ok ? 0 : 2;
 }

@@ -19,6 +19,6 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 1;
   const harness::MatrixSpec spec = harness::matrix_from_cli(cli);
   std::cout << "== Fig. 3: window variants vs Polka/Greedy/Priority, throughput ==\n\n";
-  const bool ok = harness::run_matrix_and_print(spec, harness::Metric::kThroughput, std::cout);
+  const bool ok = harness::run_matrix_and_print(spec, {harness::kThroughput}, std::cout);
   return ok ? 0 : 2;
 }

@@ -19,6 +19,6 @@ int main(int argc, char** argv) {
   const harness::MatrixSpec spec = harness::matrix_from_cli(cli);
   std::cout << "== Fig. 4: aborts per commit ==\n\n";
   const bool ok =
-      harness::run_matrix_and_print(spec, harness::Metric::kAbortsPerCommit, std::cout);
+      harness::run_matrix_and_print(spec, {harness::kAbortsPerCommit}, std::cout);
   return ok ? 0 : 2;
 }

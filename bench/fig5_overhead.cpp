@@ -56,19 +56,19 @@ int main(int argc, char** argv) {
       for (const auto u : updates) {
         std::fprintf(stderr, "[%s] %s update=%lld%% ...\n", benchmark.c_str(), cm_name.c_str(),
                      static_cast<long long>(u));
-        const auto result = harness::run_repeated(
-            cm_name, params,
-            [&] {
-              return harness::make_workload(benchmark, static_cast<std::uint32_t>(u),
-                                            key_range);
-            },
-            base, runs);
-        if (!result.valid) {
+        const harness::Cell cell =
+            harness::repeat(base, runs, [&](const harness::RunConfig& run) {
+              auto workload =
+                  harness::make_workload(benchmark, static_cast<std::uint32_t>(u), key_range);
+              return harness::run_workload(cm_name, params, *workload, run);
+            });
+        std::string why;
+        if (!harness::cell_valid(cell, &why)) {
           all_valid = false;
           std::fprintf(stderr, "VALIDATION FAILED [%s/%s/%lld%%]: %s\n", benchmark.c_str(),
-                       cm_name.c_str(), static_cast<long long>(u), result.why.c_str());
+                       cm_name.c_str(), static_cast<long long>(u), why.c_str());
         }
-        row.push_back(Table::num(result.mean_elapsed_ms, 1));
+        row.push_back(harness::format_mean(cell, harness::kElapsedMs));
       }
       table.add_row(std::move(row));
     }

@@ -12,92 +12,26 @@
 // commits > 0 and attempt conservation in BOTH modes, parks recorded only
 // in wait mode; the headline performance clauses (wait cuts involuntary
 // context switches AND CPU time per commit at M >= 16 without reducing
-// attempts/s) only on hosts with >= 8 CPUs — on an oversubscribed host the
+// attempts/s) only on hosts with >= 16 CPUs — on an oversubscribed host the
 // scheduler preempts everything constantly, which drowns exactly the
 // voluntary-vs-involuntary switch signal the clause measures.
 #include <sys/resource.h>
 
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "harness/runner.hpp"
-#include "harness/workload.hpp"
-#include "util/cli.hpp"
+#include "harness/report.hpp"
 #include "util/table.hpp"
 
 namespace {
-
-struct Row {
-  std::string benchmark;
-  std::string mode;  // "abort" | "wait"
-  long threads = 0;
-  double throughput_per_s = 0.0;
-  double attempts_per_s = 0.0;
-  double aborts_per_commit = 0.0;
-  std::uint64_t attempts = 0;
-  std::uint64_t commits = 0;
-  std::uint64_t aborts = 0;
-  // Process-wide getrusage deltas across the cell (populate excluded is not
-  // possible process-wide, but both modes pay the identical populate, so
-  // the comparison stays fair).
-  long nivcsw = 0;       // involuntary context switches
-  long nvcsw = 0;        // voluntary context switches (parking raises these)
-  double cpu_ns = 0.0;   // ru_utime + ru_stime
-  std::uint64_t parks = 0;
-  std::uint64_t park_ns = 0;
-  std::uint64_t unparks = 0;
-  std::uint64_t spurious_wakeups = 0;
-  bool valid = true;
-
-  double nivcsw_per_commit() const {
-    return commits > 0 ? static_cast<double>(nivcsw) / static_cast<double>(commits) : 0.0;
-  }
-  double cpu_us_per_commit() const {
-    return commits > 0 ? cpu_ns / 1e3 / static_cast<double>(commits) : 0.0;
-  }
-};
 
 double rusage_cpu_ns(const rusage& ru) {
   const auto tv_ns = [](const timeval& tv) {
     return static_cast<double>(tv.tv_sec) * 1e9 + static_cast<double>(tv.tv_usec) * 1e3;
   };
   return tv_ns(ru.ru_utime) + tv_ns(ru.ru_stime);
-}
-
-void write_json(const std::string& path, const std::vector<Row>& rows, const std::string& cm,
-                long key_range, double zipf_alpha, long update_percent, long ms) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "fig_arbitration: cannot write %s\n", path.c_str());
-    return;
-  }
-  // host_cpus lets the CI gate decide whether the ctx-switch/CPU-time
-  // clauses are meaningful on this machine (see the header comment).
-  out << "{\n  \"context\": {\"cm\": \"" << cm << "\", \"key_range\": " << key_range
-      << ", \"zipf_alpha\": " << zipf_alpha << ", \"update_percent\": " << update_percent
-      << ", \"ms\": " << ms << ", \"host_cpus\": " << std::thread::hardware_concurrency()
-      << "},\n  \"arbitration\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    out << "    {\"benchmark\": \"" << r.benchmark << "\", \"mode\": \"" << r.mode
-        << "\", \"threads\": " << r.threads << ", \"throughput_per_s\": " << r.throughput_per_s
-        << ", \"attempts_per_s\": " << r.attempts_per_s
-        << ", \"aborts_per_commit\": " << r.aborts_per_commit << ", \"attempts\": " << r.attempts
-        << ", \"commits\": " << r.commits << ", \"aborts\": " << r.aborts
-        << ", \"nivcsw\": " << r.nivcsw << ", \"nvcsw\": " << r.nvcsw
-        << ", \"cpu_ns\": " << r.cpu_ns << ", \"nivcsw_per_commit\": " << r.nivcsw_per_commit()
-        << ", \"cpu_us_per_commit\": " << r.cpu_us_per_commit() << ", \"parks\": " << r.parks
-        << ", \"park_ns\": " << r.park_ns << ", \"unparks\": " << r.unparks
-        << ", \"spurious_wakeups\": " << r.spurious_wakeups
-        << ", \"valid\": " << (r.valid ? "true" : "false") << "}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::fprintf(stderr, "fig_arbitration: wrote %s\n", path.c_str());
 }
 
 }  // namespace
@@ -133,7 +67,7 @@ int main(int argc, char** argv) {
 
   Table table({"benchmark", "mode", "M", "commits/s", "attempts/s", "aborts/commit",
                "nivcsw/commit", "cpu_us/commit", "parks", "park_ms", "spurious"});
-  std::vector<Row> rows;
+  std::vector<harness::JsonObject> rows;
   bool all_valid = true;
 
   auto run_cell = [&](const std::string& benchmark, std::int64_t m, const char* mode) {
@@ -149,44 +83,39 @@ int main(int argc, char** argv) {
 
     rusage before{};
     getrusage(RUSAGE_SELF, &before);
-    const harness::RunResult r = harness::run_workload(cm_name, cm::Params{}, *workload, run);
+    const harness::Cell cell{harness::run_workload(cm_name, cm::Params{}, *workload, run)};
     rusage after{};
     getrusage(RUSAGE_SELF, &after);
 
-    Row row;
-    row.benchmark = benchmark;
-    row.mode = mode;
-    row.threads = static_cast<long>(m);
-    row.throughput_per_s = r.summary.throughput_per_s;
-    row.aborts_per_commit = r.summary.aborts_per_commit;
-    row.commits = r.totals.commits;
-    row.aborts = r.totals.aborts;
-    row.attempts = r.totals.commits + r.totals.aborts;
-    if (r.elapsed_ns > 0) {
-      row.attempts_per_s =
-          static_cast<double>(row.attempts) / (static_cast<double>(r.elapsed_ns) / 1e9);
-    }
-    row.nivcsw = after.ru_nivcsw - before.ru_nivcsw;
-    row.nvcsw = after.ru_nvcsw - before.ru_nvcsw;
-    row.cpu_ns = rusage_cpu_ns(after) - rusage_cpu_ns(before);
-    row.parks = r.totals.parks;
-    row.park_ns = r.totals.park_ns;
-    row.unparks = r.totals.unparks;
-    row.spurious_wakeups = r.totals.spurious_wakeups;
-    row.valid = r.valid;
-    if (!r.valid) {
+    const stm::ThreadMetrics& t = cell.front().totals;
+    if (!cell.front().valid) {
       all_valid = false;
       std::fprintf(stderr, "VALIDATION FAILED [%s M=%lld %s]: %s\n", benchmark.c_str(),
-                   static_cast<long long>(m), mode, r.why.c_str());
+                   static_cast<long long>(m), mode, cell.front().why.c_str());
     }
-    rows.push_back(row);
-
-    table.add_row({benchmark, mode, std::to_string(m), Table::num(row.throughput_per_s, 0),
-                   Table::num(row.attempts_per_s, 0), Table::num(row.aborts_per_commit, 3),
-                   Table::num(row.nivcsw_per_commit(), 4),
-                   Table::num(row.cpu_us_per_commit(), 1), std::to_string(row.parks),
-                   Table::num(static_cast<double>(row.park_ns) / 1e6, 1),
-                   std::to_string(row.spurious_wakeups)});
+    // Process-wide getrusage deltas across the cell. They include populate,
+    // but both modes pay the identical populate, so the comparison stays fair.
+    const long nivcsw = after.ru_nivcsw - before.ru_nivcsw;  // involuntary switches
+    const long nvcsw = after.ru_nvcsw - before.ru_nvcsw;     // voluntary (parking raises these)
+    const double cpu_ns = rusage_cpu_ns(after) - rusage_cpu_ns(before);  // user + system
+    const double commits = static_cast<double>(t.commits);
+    const double nivcsw_per_commit = t.commits > 0 ? nivcsw / commits : 0.0;
+    const double cpu_us_per_commit = t.commits > 0 ? cpu_ns / 1e3 / commits : 0.0;
+    const harness::JsonObject config =
+        harness::JsonObject().add("benchmark", benchmark).add("mode", mode).add("threads", m);
+    rows.push_back(harness::cell_row(config, cell)
+                       .add("nivcsw", nivcsw)
+                       .add("nvcsw", nvcsw)
+                       .add("cpu_ns", cpu_ns)
+                       .add("nivcsw_per_commit", nivcsw_per_commit)
+                       .add("cpu_us_per_commit", cpu_us_per_commit));
+    table.add_row({benchmark, mode, std::to_string(m),
+                   harness::format_mean(cell, harness::kThroughput),
+                   harness::format_mean(cell, harness::kAttemptsPerSecond),
+                   harness::format_mean(cell, harness::kAbortsPerCommit),
+                   Table::num(nivcsw_per_commit, 4), Table::num(cpu_us_per_commit, 1),
+                   std::to_string(t.parks), Table::num(static_cast<double>(t.park_ns) / 1e6, 1),
+                   std::to_string(t.spurious_wakeups)});
   };
 
   for (const std::string& benchmark : benchmarks) {
@@ -200,7 +129,14 @@ int main(int argc, char** argv) {
 
   const std::string json_path = cli.get_string("json");
   if (!json_path.empty()) {
-    write_json(json_path, rows, cm_name, key_range, zipf_alpha, update_percent, ms);
+    harness::write_report(json_path,
+                          harness::JsonObject()
+                              .add("cm", cm_name)
+                              .add("key_range", key_range)
+                              .add("zipf_alpha", zipf_alpha)
+                              .add("update_percent", update_percent)
+                              .add("ms", ms),
+                          rows);
   }
   return all_valid ? 0 : 2;
 }

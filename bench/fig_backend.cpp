@@ -12,66 +12,12 @@
 // an oversubscribed host serializes the "concurrent" committers, which
 // erases exactly the acquisition-cost gap the clause measures.
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "harness/runner.hpp"
-#include "harness/workload.hpp"
-#include "util/cli.hpp"
+#include "harness/report.hpp"
 #include "util/table.hpp"
-
-namespace {
-
-struct Row {
-  std::string benchmark;
-  std::string backend;  // "dstm" | "orec"
-  long threads = 0;
-  double throughput_per_s = 0.0;
-  double attempts_per_s = 0.0;
-  double aborts_per_commit = 0.0;
-  std::uint64_t attempts = 0;
-  std::uint64_t commits = 0;
-  std::uint64_t aborts = 0;
-  std::uint64_t orec_lock_acquires = 0;
-  std::uint64_t orec_lock_waits = 0;
-  std::uint64_t orec_write_backs = 0;
-  bool valid = true;
-};
-
-void write_json(const std::string& path, const std::vector<Row>& rows, const std::string& cm,
-                long key_range, long update_percent, long ms) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "fig_backend: cannot write %s\n", path.c_str());
-    return;
-  }
-  // host_cpus lets the CI gate decide whether the orec-vs-dstm throughput
-  // clause is meaningful on this machine (see the header comment).
-  out << "{\n  \"context\": {\"cm\": \"" << cm << "\", \"key_range\": " << key_range
-      << ", \"update_percent\": " << update_percent << ", \"ms\": " << ms
-      << ", \"host_cpus\": " << std::thread::hardware_concurrency() << "},\n"
-      << "  \"backend\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    out << "    {\"benchmark\": \"" << r.benchmark << "\", \"backend\": \"" << r.backend
-        << "\", \"threads\": " << r.threads << ", \"throughput_per_s\": " << r.throughput_per_s
-        << ", \"attempts_per_s\": " << r.attempts_per_s
-        << ", \"aborts_per_commit\": " << r.aborts_per_commit << ", \"attempts\": " << r.attempts
-        << ", \"commits\": " << r.commits << ", \"aborts\": " << r.aborts
-        << ", \"orec_lock_acquires\": " << r.orec_lock_acquires
-        << ", \"orec_lock_waits\": " << r.orec_lock_waits
-        << ", \"orec_write_backs\": " << r.orec_write_backs
-        << ", \"valid\": " << (r.valid ? "true" : "false") << "}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::fprintf(stderr, "fig_backend: wrote %s\n", path.c_str());
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace wstm;
@@ -101,7 +47,7 @@ int main(int argc, char** argv) {
 
   Table table({"benchmark", "backend", "M", "commits/s", "attempts/s", "aborts/commit",
                "orec_locks", "lock_waits", "write_backs"});
-  std::vector<Row> rows;
+  std::vector<harness::JsonObject> rows;
   bool all_valid = true;
 
   auto run_cell = [&](const std::string& benchmark, std::int64_t m, const char* backend) {
@@ -114,36 +60,22 @@ int main(int argc, char** argv) {
     run.duration_ms = ms;
     run.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
     run.runtime.backend = stm::parse_backend(backend);
-    const harness::RunResult r = harness::run_workload(cm_name, cm::Params{}, *workload, run);
-
-    Row row;
-    row.benchmark = benchmark;
-    row.backend = backend;
-    row.threads = static_cast<long>(m);
-    row.throughput_per_s = r.summary.throughput_per_s;
-    row.aborts_per_commit = r.summary.aborts_per_commit;
-    row.commits = r.totals.commits;
-    row.aborts = r.totals.aborts;
-    row.attempts = r.totals.commits + r.totals.aborts;
-    if (r.elapsed_ns > 0) {
-      row.attempts_per_s =
-          static_cast<double>(row.attempts) / (static_cast<double>(r.elapsed_ns) / 1e9);
-    }
-    row.orec_lock_acquires = r.totals.orec_lock_acquires;
-    row.orec_lock_waits = r.totals.orec_lock_waits;
-    row.orec_write_backs = r.totals.orec_write_backs;
-    row.valid = r.valid;
-    if (!r.valid) {
+    const harness::Cell cell{harness::run_workload(cm_name, cm::Params{}, *workload, run)};
+    const stm::ThreadMetrics& t = cell.front().totals;
+    if (!cell.front().valid) {
       all_valid = false;
       std::fprintf(stderr, "VALIDATION FAILED [%s M=%lld %s]: %s\n", benchmark.c_str(),
-                   static_cast<long long>(m), backend, r.why.c_str());
+                   static_cast<long long>(m), backend, cell.front().why.c_str());
     }
-    rows.push_back(row);
-
-    table.add_row({benchmark, backend, std::to_string(m), Table::num(row.throughput_per_s, 0),
-                   Table::num(row.attempts_per_s, 0), Table::num(row.aborts_per_commit, 3),
-                   std::to_string(row.orec_lock_acquires), std::to_string(row.orec_lock_waits),
-                   std::to_string(row.orec_write_backs)});
+    const harness::JsonObject config =
+        harness::JsonObject().add("benchmark", benchmark).add("backend", backend).add("threads", m);
+    rows.push_back(harness::cell_row(config, cell));
+    table.add_row({benchmark, backend, std::to_string(m),
+                   harness::format_mean(cell, harness::kThroughput),
+                   harness::format_mean(cell, harness::kAttemptsPerSecond),
+                   harness::format_mean(cell, harness::kAbortsPerCommit),
+                   std::to_string(t.orec_lock_acquires), std::to_string(t.orec_lock_waits),
+                   std::to_string(t.orec_write_backs)});
   };
 
   for (const std::string& benchmark : benchmarks) {
@@ -157,7 +89,13 @@ int main(int argc, char** argv) {
 
   const std::string json_path = cli.get_string("json");
   if (!json_path.empty()) {
-    write_json(json_path, rows, cm_name, key_range, update_percent, ms);
+    harness::write_report(json_path,
+                          harness::JsonObject()
+                              .add("cm", cm_name)
+                              .add("key_range", key_range)
+                              .add("update_percent", update_percent)
+                              .add("ms", ms),
+                          rows);
   }
   return all_valid ? 0 : 2;
 }

@@ -10,68 +10,12 @@
 // conservation always; the shared-line clause (bumps ≤ stamps/5 at M=8)
 // only on hosts with enough CPUs to make the contention real.
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "harness/runner.hpp"
-#include "harness/workload.hpp"
-#include "util/cli.hpp"
+#include "harness/report.hpp"
 #include "util/table.hpp"
-
-namespace {
-
-struct Row {
-  long threads = 0;
-  std::string cm;
-  double throughput_per_s = 0.0;
-  std::uint64_t attempts = 0;
-  std::uint64_t commits = 0;
-  std::uint64_t aborts = 0;
-  std::uint64_t clock_bumps = 0;
-  std::uint64_t deferred_stamps = 0;
-  std::uint64_t snapshot_interference = 0;
-  std::uint64_t reader_stripe_retries = 0;
-  std::uint64_t ebr_shard_syncs = 0;
-  bool valid = true;
-};
-
-void write_json(const std::string& path, const std::vector<Row>& rows,
-                const std::string& benchmark, long key_range, long update_percent,
-                long ms) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "fig_scaling_matrix: cannot write %s\n", path.c_str());
-    return;
-  }
-  // host_cpus lets the CI gate decide whether the contention-ratio clauses
-  // are meaningful: an oversubscribed host serializes the "concurrent"
-  // writers, which deflates deferred_stamps batching artificially.
-  out << "{\n  \"context\": {\"benchmark\": \"" << benchmark
-      << "\", \"key_range\": " << key_range << ", \"update_percent\": " << update_percent
-      << ", \"ms\": " << ms
-      << ", \"host_cpus\": " << std::thread::hardware_concurrency() << "},\n"
-      << "  \"scaling\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    out << "    {\"threads\": " << r.threads << ", \"cm\": \"" << r.cm
-        << "\", \"throughput_per_s\": " << r.throughput_per_s
-        << ", \"attempts\": " << r.attempts << ", \"commits\": " << r.commits
-        << ", \"aborts\": " << r.aborts << ", \"clock_bumps\": " << r.clock_bumps
-        << ", \"deferred_stamps\": " << r.deferred_stamps
-        << ", \"snapshot_interference\": " << r.snapshot_interference
-        << ", \"reader_stripe_retries\": " << r.reader_stripe_retries
-        << ", \"ebr_shard_syncs\": " << r.ebr_shard_syncs
-        << ", \"valid\": " << (r.valid ? "true" : "false") << "}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::fprintf(stderr, "fig_scaling_matrix: wrote %s\n", path.c_str());
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace wstm;
@@ -101,7 +45,7 @@ int main(int argc, char** argv) {
 
   Table table({"M", "commits/s", "aborts/commit", "clock_bumps", "deferred_stamps",
                "stripe_retries", "ebr_syncs"});
-  std::vector<Row> rows;
+  std::vector<harness::JsonObject> rows;
   bool all_valid = true;
 
   for (const std::int64_t m : sweep) {
@@ -113,40 +57,32 @@ int main(int argc, char** argv) {
     run.duration_ms = ms;
     run.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
     run.runtime.visible_reads = false;
-    const harness::RunResult r = harness::run_workload(cm_name, cm::Params{}, *workload, run);
-
-    Row row;
-    row.threads = static_cast<long>(m);
-    row.cm = cm_name;
-    row.throughput_per_s = r.summary.throughput_per_s;
-    row.commits = r.totals.commits;
-    row.aborts = r.totals.aborts;
-    row.attempts = r.totals.commits + r.totals.aborts;
-    row.clock_bumps = r.totals.clock_bumps;
-    row.deferred_stamps = r.totals.deferred_stamps;
-    row.snapshot_interference = r.totals.snapshot_interference;
-    row.reader_stripe_retries = r.totals.reader_stripe_retries;
-    row.ebr_shard_syncs = r.totals.ebr_shard_syncs;
-    row.valid = r.valid;
-    if (!r.valid) {
+    const harness::Cell cell{harness::run_workload(cm_name, cm::Params{}, *workload, run)};
+    const stm::ThreadMetrics& t = cell.front().totals;
+    if (!cell.front().valid) {
       all_valid = false;
       std::fprintf(stderr, "VALIDATION FAILED [M=%lld]: %s\n", static_cast<long long>(m),
-                   r.why.c_str());
+                   cell.front().why.c_str());
     }
-    rows.push_back(row);
-
-    table.add_row({std::to_string(m), Table::num(row.throughput_per_s, 0),
-                   Table::num(r.summary.aborts_per_commit, 3), std::to_string(row.clock_bumps),
-                   std::to_string(row.deferred_stamps),
-                   std::to_string(row.reader_stripe_retries),
-                   std::to_string(row.ebr_shard_syncs)});
+    rows.push_back(
+        harness::cell_row(harness::JsonObject().add("threads", m).add("cm", cm_name), cell));
+    table.add_row({std::to_string(m), harness::format_mean(cell, harness::kThroughput),
+                   harness::format_mean(cell, harness::kAbortsPerCommit),
+                   std::to_string(t.clock_bumps), std::to_string(t.deferred_stamps),
+                   std::to_string(t.reader_stripe_retries), std::to_string(t.ebr_shard_syncs)});
   }
 
   std::cout << (cli.get_bool("csv") ? table.to_csv() : table.to_text()) << "\n";
 
   const std::string json_path = cli.get_string("json");
   if (!json_path.empty()) {
-    write_json(json_path, rows, benchmark, key_range, update_percent, ms);
+    harness::write_report(json_path,
+                          harness::JsonObject()
+                              .add("benchmark", benchmark)
+                              .add("key_range", key_range)
+                              .add("update_percent", update_percent)
+                              .add("ms", ms),
+                          rows);
   }
   return all_valid ? 0 : 2;
 }

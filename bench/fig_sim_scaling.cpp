@@ -1,6 +1,6 @@
 // Virtual-time scaling shapes (substitution for the paper's 4-core host;
 // see DESIGN.md §2): the Fig. 2/3-style comparison in the discrete-time
-// simulator, where M = 1..32 threads run at full parallelism regardless of
+// simulator, where M = 1..64 threads run at full parallelism regardless of
 // how many hardware threads this machine has.
 //
 // Reported per M: virtual throughput (commits per step) and aborts/commit
@@ -40,9 +40,11 @@ int main(int argc, char** argv) {
 
   std::cout << "== Virtual-time scaling (simulator), N=" << n << " ==\n\n";
 
-  Table tput({"scheduler \\ M", "1", "2", "4", "8", "16", "32"});
-  Table aborts({"scheduler \\ M", "1", "2", "4", "8", "16", "32"});
   const auto thread_list = cli.get_int_list("threads");
+  std::vector<std::string> header{"scheduler \\ M"};
+  for (const auto m : thread_list) header.push_back(std::to_string(m));
+  Table tput(header);
+  Table aborts(header);
 
   for (const auto& opt : schedulers) {
     std::vector<std::string> trow{sim::scheduler_name(opt)};
@@ -55,11 +57,6 @@ int main(int argc, char** argv) {
       trow.push_back(Table::num(avg.throughput, 3));
       arow.push_back(Table::num(avg.aborts_per_commit, 2));
     }
-    // Tables were sized for the default 6 thread counts; pad/trim to match.
-    while (trow.size() < 7) trow.push_back("-");
-    while (arow.size() < 7) arow.push_back("-");
-    trow.resize(7);
-    arow.resize(7);
     tput.add_row(std::move(trow));
     aborts.add_row(std::move(arow));
   }

@@ -31,7 +31,7 @@ void run_section(const std::string& title, bool columnar, std::uint32_t m, std::
     const sim::ConflictGraph g(w);
     const std::uint32_t c = g.max_degree();
 
-    struct Row {
+    struct Case {
       sim::SchedulerOptions opt;
       double bound;
     };
@@ -41,12 +41,12 @@ void run_section(const std::string& title, bool columnar, std::uint32_t m, std::
     online.mode = sim::SchedulerOptions::Mode::kOnline;
     sim::SchedulerOptions oneshot;
     oneshot.mode = sim::SchedulerOptions::Mode::kOneshotRR;
-    const Row rows[] = {
+    const Case cases[] = {
         {offline, sim::offline_bound(m, n, c)},
         {online, sim::online_bound(m, n, c)},
         {oneshot, sim::online_bound(m, n, c)},  // reference bound for comparison
     };
-    for (const Row& r : rows) {
+    for (const Case& r : cases) {
       const sim::AveragedSim avg = sim::average_runs(w, g, r.opt, runs, seed + 1);
       table.add_row({std::to_string(pool), std::to_string(c), sim::scheduler_name(r.opt),
                      Table::num(avg.makespan, 1), Table::num(r.bound, 1),

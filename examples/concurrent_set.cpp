@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   const harness::RunResult r =
       harness::run_workload(cli.get_string("cm"), cm::Params{}, *workload, cfg);
 
-  std::printf("  %s\n", r.summary.to_string().c_str());
+  std::printf("  %s\n", r.summary.to_string(r.totals).c_str());
   std::printf("  structure valid after run: %s%s%s\n", r.valid ? "yes" : "NO",
               r.valid ? "" : " — ", r.why.c_str());
   return r.valid ? 0 : 1;

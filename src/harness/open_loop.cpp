@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "trace/recorder.hpp"
-#include "trace/sink.hpp"
 #include "util/stats.hpp"
 #include "util/timing.hpp"
 
@@ -34,9 +33,8 @@ void wait_until_ns(std::int64_t when) {
 
 }  // namespace
 
-OpenLoopResult run_open_loop(const std::string& cm_name, cm::Params cm_params,
-                             Workload& workload, const RunConfig& run,
-                             const ServeConfig& serve) {
+RunResult run_open_loop(const std::string& cm_name, cm::Params cm_params, Workload& workload,
+                        const RunConfig& run, const ServeConfig& serve) {
   if (!workload.open_loop_capable()) {
     throw std::invalid_argument("workload '" + workload.name() +
                                 "' cannot run open-loop (no request support)");
@@ -127,48 +125,18 @@ OpenLoopResult run_open_loop(const std::string& cm_name, cm::Params cm_params,
   server.stop();  // closes queues; workers drain the backlog, then join
   const std::int64_t elapsed = now_ns() - begin;
 
-  OpenLoopResult result;
-  result.base.totals = rt.total_metrics();
-  result.base.elapsed_ns = elapsed;
-  result.base.summary = stm::summarize(result.base.totals, elapsed);
-  result.base.p50_us = latency.percentile_ns(50) / 1e3;
-  result.base.p95_us = latency.percentile_ns(95) / 1e3;
-  result.base.p99_us = latency.percentile_ns(99) / 1e3;
-  result.base.latency_count = latency.count();
+  RunResult result;
+  detail::finish_run(result, rt, elapsed, run, workload, latency, recorder.get());
   result.server = server.stats();
   result.offered = offered.load(std::memory_order_relaxed);
-  result.expired = result.base.totals.serve_expired;
-  result.deadline_misses = result.base.totals.serve_deadline_misses;
-  result.cancelled = result.base.totals.serve_cancelled;
   const double window_s = ns_to_s(produce_window);
   const double elapsed_s = ns_to_s(elapsed);
   if (window_s > 0) {
     result.offered_per_s = static_cast<double>(result.offered) / window_s;
     result.accepted_per_s = static_cast<double>(result.server.accepted) / window_s;
   }
-  if (elapsed_s > 0) {
-    result.completed_per_s =
-        static_cast<double>(result.base.totals.serve_completed) / elapsed_s;
-  }
-
-  if (run.validate) {
-    std::string why;
-    if (!workload.validate(&why)) {
-      result.base.valid = false;
-      result.base.why = why;
-    }
-  }
-  if (recorder) {
-    try {
-      if (!trace::write_trace_file(run.trace_path, recorder->drain_sorted())) {
-        throw std::runtime_error("cannot write trace file " + run.trace_path);
-      }
-    } catch (const std::exception& e) {
-      result.base.valid = false;
-      result.base.why = result.base.why.empty() ? e.what()
-                                                : result.base.why + "; " + e.what();
-    }
-  }
+  result.summary.throughput_per_s =
+      elapsed_s > 0 ? static_cast<double>(result.totals.serve_completed) / elapsed_s : 0.0;
   return result;
 }
 

@@ -19,7 +19,6 @@
 #include <string>
 
 #include "harness/runner.hpp"
-#include "serve/server.hpp"
 
 namespace wstm::harness {
 
@@ -41,25 +40,13 @@ struct ServeConfig {
   bool steal = false;
 };
 
-struct OpenLoopResult {
-  /// Metrics/validation/latency as in the closed loop; p50/p95/p99 are
-  /// submit-to-completion sojourn times.
-  RunResult base;
-  serve::TxServer::Stats server;
-  double offered_per_s = 0.0;    ///< submit() calls per second
-  double accepted_per_s = 0.0;   ///< accepted into a queue per second
-  double completed_per_s = 0.0;  ///< committed per second (sustained throughput)
-  std::uint64_t offered = 0;
-  std::uint64_t expired = 0;
-  std::uint64_t deadline_misses = 0;
-  std::uint64_t cancelled = 0;
-};
-
 /// Open-loop counterpart of run_workload: builds the runtime (threads =
 /// run.threads workers) and a TxServer with `serve.policy`, then drives it
-/// with Poisson arrivals for run.duration_ms. The workload must be
-/// open_loop_capable(); throws std::invalid_argument otherwise.
-OpenLoopResult run_open_loop(const std::string& cm_name, cm::Params cm_params,
-                             Workload& workload, const RunConfig& run, const ServeConfig& serve);
+/// with Poisson arrivals for run.duration_ms. The record's throughput is
+/// completed requests/s, its percentiles are sojourn times, and its open-loop
+/// fields are filled. The workload must be open_loop_capable(); throws
+/// std::invalid_argument otherwise.
+RunResult run_open_loop(const std::string& cm_name, cm::Params cm_params, Workload& workload,
+                        const RunConfig& run, const ServeConfig& serve);
 
 }  // namespace wstm::harness

@@ -1,35 +1,73 @@
 #include "harness/report.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <ostream>
+#include <thread>
 
 #include "trace/sink.hpp"
 #include "util/table.hpp"
 
 namespace wstm::harness {
 
-std::string metric_name(Metric metric) {
-  switch (metric) {
-    case Metric::kThroughput:
-      return "throughput (commits/s)";
-    case Metric::kAbortsPerCommit:
-      return "aborts per commit";
-    case Metric::kElapsedMs:
-      return "elapsed (ms)";
-    case Metric::kWastedFraction:
-      return "wasted-work fraction";
-    case Metric::kResponseUs:
-      return "mean response (us)";
-    case Metric::kRepeatConflictsPerCommit:
-      return "repeat conflicts per commit";
-    case Metric::kP50Us:
-      return "p50 latency (us)";
-    case Metric::kP95Us:
-      return "p95 latency (us)";
-    case Metric::kP99Us:
-      return "p99 latency (us)";
+namespace {
+
+/// Appends `s` as a quoted JSON string.
+void add_json_string(std::string& out, std::string_view s) {
+  out += '"';
+  for (const char c : s) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
+      out += buf;
+    } else {
+      out += c;
+    }
   }
-  return "?";
+  out += '"';
+}
+
+double attempts_per_s(const RunResult& r) {
+  if (r.elapsed_ns <= 0) return 0.0;
+  return static_cast<double>(r.totals.commits + r.totals.aborts) /
+         (static_cast<double>(r.elapsed_ns) / 1e9);
+}
+
+}  // namespace
+
+const Metric kThroughput{"throughput (commits/s)", 0,
+                         [](const RunResult& r) { return r.summary.throughput_per_s; }};
+const Metric kAttemptsPerSecond{"attempts per second", 0, attempts_per_s};
+const Metric kAbortsPerCommit{"aborts per commit", 3,
+                              [](const RunResult& r) { return r.summary.aborts_per_commit; }};
+const Metric kElapsedMs{"elapsed (ms)", 1, [](const RunResult& r) {
+                          return static_cast<double>(r.elapsed_ns) / 1e6;
+                        }};
+const Metric kWastedFraction{"wasted-work fraction", 4,
+                             [](const RunResult& r) { return r.summary.wasted_fraction; }};
+const Metric kResponseUs{"mean response (us)", 1,
+                         [](const RunResult& r) { return r.summary.mean_response_us; }};
+const Metric kRepeatConflictsPerCommit{
+    "repeat conflicts per commit", 3,
+    [](const RunResult& r) { return r.summary.repeat_conflicts_per_commit; }};
+const Metric kP50Us{"p50 latency (us)", 1, [](const RunResult& r) { return r.p50_us; }};
+const Metric kP95Us{"p95 latency (us)", 1, [](const RunResult& r) { return r.p95_us; }};
+const Metric kP99Us{"p99 latency (us)", 1, [](const RunResult& r) { return r.p99_us; }};
+
+double mean(const Cell& cell, const Metric& metric) {
+  if (cell.empty()) return 0.0;
+  double sum = 0.0;
+  for (const RunResult& r : cell) sum += metric.get(r);
+  return sum / static_cast<double>(cell.size());
+}
+
+std::string format_mean(const Cell& cell, const Metric& metric) {
+  return Table::num(mean(cell, metric), metric.precision);
 }
 
 void register_matrix_flags(Cli& cli, const std::string& default_benchmarks,
@@ -91,8 +129,7 @@ void register_matrix_flags(Cli& cli, const std::string& default_benchmarks,
                false);
   cli.add_flag("arrival-rate", "total offered load with --serve, requests/second", 100'000.0);
   cli.add_flag("policy",
-               "admission policy with --serve: round-robin | key-hash | "
-               "conflict-graph | window-frame",
+               "admission policy with --serve: round-robin | key-hash | window-frame",
                std::string("round-robin"));
   cli.add_flag("producers", "arrival-generator threads with --serve",
                static_cast<std::int64_t>(1));
@@ -157,63 +194,16 @@ MatrixSpec matrix_from_cli(const Cli& cli) {
   return spec;
 }
 
-namespace {
-
-/// Serve-mode cell: averages open-loop runs into the RepeatedResult shape
-/// the table printer already consumes. kThroughput maps to sustained
-/// completions/s; the percentile metrics to sojourn percentiles.
-RepeatedResult run_serve_repeated(const std::string& cm_name, const MatrixSpec& spec,
-                                  const std::string& benchmark, const RunConfig& base) {
-  RepeatedResult agg;
-  RunningStats thr, aborts, elapsed_ms, wasted, response, repeats, p50, p95, p99;
-  for (unsigned i = 0; i < spec.repetitions; ++i) {
-    auto workload =
-        make_workload(benchmark, spec.update_percent, spec.key_range, spec.zipf_alpha);
-    RunConfig cfg = base;
-    cfg.seed = base.seed + i * 7919;
-    if (!base.trace_path.empty() && spec.repetitions > 1) {
-      cfg.trace_path = trace::path_with_suffix(base.trace_path, "-r" + std::to_string(i));
-    }
-    const OpenLoopResult r = run_open_loop(cm_name, spec.params, *workload, cfg,
-                                           spec.serve_config);
-    thr.add(r.completed_per_s);
-    aborts.add(r.base.summary.aborts_per_commit);
-    elapsed_ms.add(static_cast<double>(r.base.elapsed_ns) / 1e6);
-    wasted.add(r.base.summary.wasted_fraction);
-    response.add(r.base.summary.mean_response_us);
-    repeats.add(r.base.summary.repeat_conflicts_per_commit);
-    p50.add(r.base.p50_us);
-    p95.add(r.base.p95_us);
-    p99.add(r.base.p99_us);
-    if (!r.base.valid) {
-      agg.valid = false;
-      agg.why = r.base.why;
-    }
-  }
-  agg.mean_throughput = thr.mean();
-  agg.throughput_stddev = thr.stddev();
-  agg.mean_aborts_per_commit = aborts.mean();
-  agg.mean_elapsed_ms = elapsed_ms.mean();
-  agg.mean_wasted_fraction = wasted.mean();
-  agg.mean_response_us = response.mean();
-  agg.mean_repeat_conflicts = repeats.mean();
-  agg.mean_p50_us = p50.mean();
-  agg.mean_p95_us = p95.mean();
-  agg.mean_p99_us = p99.mean();
-  return agg;
-}
-
-}  // namespace
-
-bool run_matrix_and_print(const MatrixSpec& spec, Metric metric, std::ostream& out) {
+bool run_matrix_and_print(const MatrixSpec& spec, const std::vector<Metric>& metrics,
+                          std::ostream& out) {
   bool all_valid = true;
+  std::vector<std::string> header{"CM \\ M"};
+  for (const auto m : spec.thread_counts) header.push_back(std::to_string(m));
   for (const std::string& benchmark : spec.benchmarks) {
-    std::vector<std::string> header{"CM \\ M"};
-    for (const auto m : spec.thread_counts) header.push_back(std::to_string(m));
-    Table table(header);
-
+    // cells[c][t]: CM c at thread count t, run once for every metric.
+    std::vector<std::vector<Cell>> cells;
     for (const std::string& cm_name : spec.cms) {
-      std::vector<std::string> row{cm_name};
+      std::vector<Cell>& row = cells.emplace_back();
       for (const auto m : spec.thread_counts) {
         RunConfig cfg = spec.base;
         cfg.threads = static_cast<std::uint32_t>(m);
@@ -224,70 +214,87 @@ bool run_matrix_and_print(const MatrixSpec& spec, Metric metric, std::ostream& o
         }
         std::fprintf(stderr, "[%s] %s M=%lld ...\n", benchmark.c_str(), cm_name.c_str(),
                      static_cast<long long>(m));
-        const RepeatedResult r =
-            spec.serve
-                ? run_serve_repeated(cm_name, spec, benchmark, cfg)
-                : run_repeated(
-                      cm_name, spec.params,
-                      [&] {
-                        return make_workload(benchmark, spec.update_percent, spec.key_range,
-                                             spec.zipf_alpha);
-                      },
-                      cfg, spec.repetitions);
-        if (!r.valid) {
+        row.push_back(repeat(cfg, spec.repetitions, [&](const RunConfig& run) {
+          auto workload =
+              make_workload(benchmark, spec.update_percent, spec.key_range, spec.zipf_alpha);
+          return spec.serve
+                     ? run_open_loop(cm_name, spec.params, *workload, run, spec.serve_config)
+                     : run_workload(cm_name, spec.params, *workload, run);
+        }));
+        std::string why;
+        if (!cell_valid(row.back(), &why)) {
           all_valid = false;
           std::fprintf(stderr, "VALIDATION FAILED [%s/%s/M=%lld]: %s\n", benchmark.c_str(),
-                       cm_name.c_str(), static_cast<long long>(m), r.why.c_str());
+                       cm_name.c_str(), static_cast<long long>(m), why.c_str());
         }
-        double value = 0.0;
-        int precision = 2;
-        switch (metric) {
-          case Metric::kThroughput:
-            value = r.mean_throughput;
-            precision = 0;
-            break;
-          case Metric::kAbortsPerCommit:
-            value = r.mean_aborts_per_commit;
-            precision = 3;
-            break;
-          case Metric::kElapsedMs:
-            value = r.mean_elapsed_ms;
-            precision = 1;
-            break;
-          case Metric::kWastedFraction:
-            value = r.mean_wasted_fraction;
-            precision = 4;
-            break;
-          case Metric::kResponseUs:
-            value = r.mean_response_us;
-            precision = 1;
-            break;
-          case Metric::kRepeatConflictsPerCommit:
-            value = r.mean_repeat_conflicts;
-            precision = 3;
-            break;
-          case Metric::kP50Us:
-            value = r.mean_p50_us;
-            precision = 1;
-            break;
-          case Metric::kP95Us:
-            value = r.mean_p95_us;
-            precision = 1;
-            break;
-          case Metric::kP99Us:
-            value = r.mean_p99_us;
-            precision = 1;
-            break;
-        }
-        row.push_back(Table::num(value, precision));
       }
-      table.add_row(std::move(row));
     }
 
-    out << "# " << benchmark << " — " << metric_name(metric) << "\n"
-        << (spec.csv ? table.to_csv() : table.to_text()) << "\n";
+    for (const Metric& metric : metrics) {
+      Table table(header);
+      for (std::size_t c = 0; c < spec.cms.size(); ++c) {
+        std::vector<std::string> row{spec.cms[c]};
+        for (const Cell& cell : cells[c]) row.push_back(format_mean(cell, metric));
+        table.add_row(std::move(row));
+      }
+      out << "# " << benchmark << " — " << metric.label << "\n"
+          << (spec.csv ? table.to_csv() : table.to_text()) << "\n";
+    }
   }
   return all_valid;
+}
+
+JsonObject& JsonObject::raw(std::string_view key, std::string_view json) {
+  if (!body_.empty()) body_ += ", ";
+  add_json_string(body_, key);
+  body_ += ": ";
+  body_ += json;
+  return *this;
+}
+
+JsonObject& JsonObject::add(std::string_view key, std::string_view value) {
+  std::string quoted;
+  add_json_string(quoted, value);
+  return raw(key, quoted);
+}
+
+JsonObject& JsonObject::add(std::string_view key, double value) {
+  if (!std::isfinite(value)) return raw(key, "null");
+  // Shortest round-trip digits, in plain notation unless that runs long.
+  char buf[64];
+  auto res = std::to_chars(buf, buf + sizeof(buf), value, std::chars_format::fixed);
+  if (res.ec != std::errc{}) res = std::to_chars(buf, buf + sizeof(buf), value);
+  return raw(key, std::string_view(buf, static_cast<std::size_t>(res.ptr - buf)));
+}
+
+JsonObject cell_row(JsonObject config, const Cell& cell) {
+  const stm::ThreadMetrics totals = sum_totals(cell);
+  totals.visit([&](const char* name, auto value) { config.add(name, value); });
+  config.add("attempts", totals.commits + totals.aborts)
+      .add("attempts_per_s", mean(cell, kAttemptsPerSecond))
+      .add("throughput_per_s", mean(cell, kThroughput))
+      .add("aborts_per_commit", mean(cell, kAbortsPerCommit))
+      .add("valid", cell_valid(cell));
+  return config;
+}
+
+bool write_report(const std::string& path, JsonObject context,
+                  const std::vector<JsonObject>& rows) {
+  std::ofstream out(path);
+  if (!out) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  // host_cpus lets a gate decide whether a clause that needs real
+  // concurrency is meaningful on the host that produced the report.
+  context.add("host_cpus", std::thread::hardware_concurrency());
+  out << "{\n  \"context\": " << context.str() << ",\n  \"rows\": [\n";
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    out << "    " << rows[i].str() << (i + 1 < rows.size() ? "," : "") << "\n";
+  }
+  out << "  ]\n}\n";
+  std::fprintf(stderr, "wrote %s\n", path.c_str());
+  return static_cast<bool>(out);
 }
 
 }  // namespace wstm::harness

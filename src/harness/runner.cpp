@@ -108,16 +108,6 @@ RunResult run_workload(const std::string& cm_name, cm::Params cm_params, Workloa
   const std::int64_t elapsed = now_ns() - begin;
 
   RunResult result;
-  result.totals = rt.total_metrics();
-  result.elapsed_ns = elapsed;
-  result.summary = stm::summarize(result.totals, elapsed);
-  result.p50_us = latency.percentile_ns(50) / 1e3;
-  result.p95_us = latency.percentile_ns(95) / 1e3;
-  result.p99_us = latency.percentile_ns(99) / 1e3;
-  result.latency_count = latency.count();
-  if (const resilience::LivenessManager* lm = rt.liveness()) {
-    result.liveness_stats = lm->stats();
-  }
   for (std::uint32_t i = 0; i < run.threads; ++i) {
     if (worker_errors[i].empty()) continue;
     result.thread_errors.push_back("thread " + std::to_string(i) + ": " + worker_errors[i]);
@@ -129,25 +119,75 @@ RunResult run_workload(const std::string& cm_name, cm::Params cm_params, Workloa
     for (const std::string& e : result.thread_errors) report += "\n  " + e;
     result.why = report;
   }
+  detail::finish_run(result, rt, elapsed, run, workload, latency, recorder.get());
+  return result;
+}
+
+namespace detail {
+
+void finish_run(RunResult& result, stm::Runtime& rt, std::int64_t elapsed_ns,
+                const RunConfig& run, Workload& workload, const LatencyReservoir& latency,
+                trace::Recorder* recorder) {
+  result.totals = rt.total_metrics();
+  result.elapsed_ns = elapsed_ns;
+  result.summary = stm::summarize(result.totals, elapsed_ns);
+  if (const resilience::LivenessManager* lm = rt.liveness()) {
+    result.liveness_stats = lm->stats();
+  }
+  result.p50_us = latency.percentile_ns(50) / 1e3;
+  result.p95_us = latency.percentile_ns(95) / 1e3;
+  result.p99_us = latency.percentile_ns(99) / 1e3;
+  result.latency_count = latency.count();
+  const auto fail = [&](const std::string& why) {
+    result.valid = false;
+    result.why = result.why.empty() ? why : result.why + "; " + why;
+  };
   if (run.validate) {
     std::string why;
-    if (!workload.validate(&why)) {
-      result.valid = false;
-      result.why = result.why.empty() ? why : result.why + "; " + why;
-    }
+    if (!workload.validate(&why)) fail(why);
   }
-  if (recorder) {
+  if (recorder != nullptr) {
     // Workers are joined, so drain_sorted() sees every ring quiescent.
     try {
       if (!trace::write_trace_file(run.trace_path, recorder->drain_sorted())) {
         throw std::runtime_error("cannot write trace file " + run.trace_path);
       }
     } catch (const std::exception& e) {
-      result.valid = false;
-      result.why = result.why.empty() ? e.what() : result.why + "; " + e.what();
+      fail(e.what());
     }
   }
-  return result;
+}
+
+}  // namespace detail
+
+Cell repeat(const RunConfig& run, unsigned repetitions,
+            const std::function<RunResult(const RunConfig&)>& run_once) {
+  Cell cell;
+  for (unsigned i = 0; i < repetitions; ++i) {
+    RunConfig cfg = run;
+    cfg.seed = run.seed + i * 7919;
+    if (!run.trace_path.empty() && repetitions > 1) {
+      cfg.trace_path = trace::path_with_suffix(run.trace_path, "-r" + std::to_string(i));
+    }
+    cell.push_back(run_once(cfg));
+  }
+  return cell;
+}
+
+stm::ThreadMetrics sum_totals(const Cell& cell) {
+  stm::ThreadMetrics sum;
+  for (const RunResult& r : cell) sum += r.totals;
+  return sum;
+}
+
+bool cell_valid(const Cell& cell, std::string* why) {
+  bool valid = true;
+  for (const RunResult& r : cell) {
+    if (r.valid) continue;
+    valid = false;
+    if (why != nullptr) *why = r.why;
+  }
+  return valid;
 }
 
 }  // namespace wstm::harness

@@ -9,14 +9,23 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "cm/registry.hpp"
 #include "harness/workload.hpp"
 #include "resilience/liveness.hpp"
+#include "serve/server.hpp"
 #include "stm/metrics.hpp"
 #include "stm/runtime.hpp"
+
+namespace wstm {
+class LatencyReservoir;
+}
+namespace wstm::trace {
+class Recorder;
+}
 
 namespace wstm::harness {
 
@@ -46,10 +55,14 @@ struct RunConfig {
   std::size_t trace_events_per_thread = std::size_t{1} << 16;
 };
 
+/// The one record of a run, closed or open loop. Tables and bench reports
+/// are views of these records (harness/report.hpp).
 struct RunResult {
-  stm::MetricsSummary summary;
   stm::ThreadMetrics totals;
   std::int64_t elapsed_ns = 0;
+  /// summarize(totals, elapsed_ns), except that an open-loop run's
+  /// throughput counts completed requests (totals.serve_completed).
+  stm::MetricsSummary summary;
   /// Per-operation latency percentiles from a bounded-memory reservoir
   /// (util::LatencyReservoir): closed loop samples run_one wall time,
   /// open loop samples submit-to-completion sojourn. 0 without samples.
@@ -66,7 +79,16 @@ struct RunResult {
   /// Snapshot of the liveness manager's counters (token acquisitions,
   /// watchdog detections); all zero when the liveness layer was off.
   resilience::LivenessManager::Stats liveness_stats;
+
+  // Open-loop runs only (harness/open_loop.hpp); zero in the closed loop.
+  serve::TxServer::Stats server;
+  std::uint64_t offered = 0;     ///< submit() calls
+  double offered_per_s = 0.0;    ///< submit() calls per second of the production window
+  double accepted_per_s = 0.0;   ///< accepted into a queue per second of that window
 };
+
+/// The records of one sweep cell, one per repetition.
+using Cell = std::vector<RunResult>;
 
 /// Builds a fresh Runtime with `cm_name` (threads taken from `run`),
 /// populates `workload`, runs it, validates, and returns the metrics.
@@ -74,31 +96,26 @@ struct RunResult {
 RunResult run_workload(const std::string& cm_name, cm::Params cm_params, Workload& workload,
                        const RunConfig& run);
 
-/// Averages `repetitions` runs of the same configuration on fresh workload
-/// instances built by `factory`. Metrics are averaged; `valid` is the
-/// conjunction.
-struct RepeatedResult {
-  double mean_throughput = 0.0;
-  double throughput_stddev = 0.0;
-  double mean_aborts_per_commit = 0.0;
-  double mean_elapsed_ms = 0.0;
-  double mean_wasted_fraction = 0.0;
-  double mean_response_us = 0.0;
-  double mean_repeat_conflicts = 0.0;
-  /// Means of the per-run reservoir percentiles (runner.cpp samples every
-  /// run_one into a LatencyReservoir).
-  double mean_p50_us = 0.0;
-  double mean_p95_us = 0.0;
-  double mean_p99_us = 0.0;
-  bool valid = true;
-  std::string why;
-};
+/// Runs `run_once` `repetitions` times: run i gets seed run.seed + i * 7919
+/// and, when repeated, a "-r<i>" suffix on its trace path.
+Cell repeat(const RunConfig& run, unsigned repetitions,
+            const std::function<RunResult(const RunConfig&)>& run_once);
 
-template <typename WorkloadFactory>
-RepeatedResult run_repeated(const std::string& cm_name, cm::Params cm_params,
-                            WorkloadFactory&& factory, const RunConfig& run,
-                            unsigned repetitions);
+/// Every counter summed over the cell's runs.
+stm::ThreadMetrics sum_totals(const Cell& cell);
+
+/// Whether every run of `cell` validated; if not, `why` (when given) gets
+/// the reason of the last run that did not.
+bool cell_valid(const Cell& cell, std::string* why = nullptr);
+
+namespace detail {
+/// The tail both runners share once the workers joined: fills the record's
+/// counters, summary, liveness snapshot and latency percentiles, validates
+/// the workload and writes the trace file. A failure appends to `why`.
+void finish_run(RunResult& result, stm::Runtime& rt, std::int64_t elapsed_ns,
+                const RunConfig& run, Workload& workload, const LatencyReservoir& latency,
+                trace::Recorder* recorder);
+}  // namespace detail
 
 }  // namespace wstm::harness
 
-#include "harness/runner_impl.hpp"

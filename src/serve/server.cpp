@@ -19,11 +19,8 @@ TxServer::TxServer(stm::Runtime& rt, ServerConfig config) : rt_(rt), config_(std
   sc.n_queues = nq;
   sc.seed = config_.seed;
   sc.manager = &rt_.manager();
-  sc.hot_threshold = config_.hot_threshold;
-  sc.table_size = config_.table_size;
-  sc.hot_lane_fraction = config_.hot_lane_fraction;
   scheduler_ = make_scheduler(config_.policy, sc);
-  pool_ = std::make_unique<WorkerPool>(rt_, queues_, *scheduler_, config_.worker);
+  pool_ = std::make_unique<WorkerPool>(rt_, queues_, config_.worker);
 }
 
 TxServer::~TxServer() { stop(); }

@@ -41,12 +41,9 @@ struct ServerConfig {
   std::size_t queue_capacity = 1024;
   Backpressure backpressure = Backpressure::kReject;
 
-  /// Admission policy name (scheduler.hpp) and its knobs.
+  /// Admission policy name (scheduler.hpp) and its placement seed.
   std::string policy = "round-robin";
   std::uint64_t seed = 0x5e12e;
-  double hot_threshold = 0.25;
-  std::uint32_t table_size = 4096;
-  double hot_lane_fraction = 0.25;
 
   WorkerOptions worker;  ///< latency sink, tracing, steal, park bound
 };

@@ -9,8 +9,8 @@
 namespace wstm::serve {
 
 WorkerPool::WorkerPool(stm::Runtime& rt, std::vector<std::unique_ptr<BoundedQueue>>& queues,
-                       AdmissionScheduler& scheduler, WorkerOptions options)
-    : rt_(rt), queues_(queues), scheduler_(scheduler), options_(options) {}
+                       WorkerOptions options)
+    : rt_(rt), queues_(queues), options_(options) {}
 
 WorkerPool::~WorkerPool() { join(); }
 
@@ -81,7 +81,6 @@ void WorkerPool::execute(stm::ThreadCtx& tc, unsigned queue_idx, const TxRequest
     return;
   }
 
-  const std::uint64_t aborts_before = m.aborts;
   std::uint64_t result;
   try {
     result = rt_.atomically(tc, [&](stm::Tx& tx) { return req.fn(tx, req.ctx, req.arg); });
@@ -89,17 +88,13 @@ void WorkerPool::execute(stm::ThreadCtx& tc, unsigned queue_idx, const TxRequest
     m.serve_cancelled++;
     return;
   } catch (const resilience::TxTimeoutError&) {
-    // The runtime already counted the timeout; the scheduler still gets the
-    // abort feedback — a timed-out key is the hottest signal there is.
-    scheduler_.on_executed(req.key, static_cast<std::uint32_t>(m.aborts - aborts_before));
-    return;
+    return;  // the runtime already counted the timeout
   }
 
   const std::int64_t done_ns = now_ns();
   m.serve_completed++;
   if (req.deadline_ns != 0 && done_ns > req.deadline_ns) m.serve_deadline_misses++;
   if (options_.latency != nullptr) options_.latency->record(done_ns - req.enqueue_ns);
-  scheduler_.on_executed(req.key, static_cast<std::uint32_t>(m.aborts - aborts_before));
   if (req.done != nullptr) req.done(req.ctx, req.arg, result);
 }
 

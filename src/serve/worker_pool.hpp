@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "serve/queue.hpp"
-#include "serve/scheduler.hpp"
+#include "serve/request.hpp"
 #include "util/stats.hpp"
 
 namespace wstm::stm {
@@ -50,9 +50,9 @@ struct WorkerOptions {
 
 class WorkerPool {
  public:
-  /// `queues` and `scheduler` are non-owning and must outlive the pool.
+  /// `queues` is non-owning and must outlive the pool.
   WorkerPool(stm::Runtime& rt, std::vector<std::unique_ptr<BoundedQueue>>& queues,
-             AdmissionScheduler& scheduler, WorkerOptions options);
+             WorkerOptions options);
   /// Joins if still running (queues must be closed by then — TxServer's
   /// destructor ordering guarantees it).
   ~WorkerPool();
@@ -74,7 +74,6 @@ class WorkerPool {
 
   stm::Runtime& rt_;
   std::vector<std::unique_ptr<BoundedQueue>>& queues_;
-  AdmissionScheduler& scheduler_;
   WorkerOptions options_;
   std::vector<std::thread> threads_;
 };

@@ -88,7 +88,7 @@ TEST(HarnessMatrix, PrintsOneTablePerBenchmark) {
   spec.base.duration_ms = 30;
   spec.repetitions = 1;
   std::ostringstream out;
-  EXPECT_TRUE(harness::run_matrix_and_print(spec, harness::Metric::kThroughput, out));
+  EXPECT_TRUE(harness::run_matrix_and_print(spec, {harness::kThroughput}, out));
   const std::string text = out.str();
   EXPECT_NE(text.find("# list"), std::string::npos);
   EXPECT_NE(text.find("# rbtree"), std::string::npos);

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "cm/registry.hpp"
 #include "stm/runtime.hpp"
@@ -245,6 +248,43 @@ TEST(StmBasic, SummarizeComputesDerivedMetrics) {
   const MetricsSummary sampled = summarize(t, 1'000'000'000);
   EXPECT_DOUBLE_EQ(sampled.throughput_per_s, 100.0);
   EXPECT_DOUBLE_EQ(sampled.mean_response_us, 3.0);
+
+  // to_string: the derived line, then every nonzero counter by name.
+  const std::string text = sampled.to_string(t);
+  EXPECT_NE(text.find("aborts/commit=0.500"), std::string::npos) << text;
+  EXPECT_NE(text.find("  commits=100"), std::string::npos) << text;
+  EXPECT_NE(text.find("  timed_commits=10"), std::string::npos) << text;
+  EXPECT_EQ(text.find("serve_completed"), std::string::npos) << text;
+}
+
+TEST(StmBasic, CounterListDrivesSumAndVisitor) {
+  // Give every counter a distinct value through the visitor.
+  ThreadMetrics m;
+  int next = 1;
+  m.visit([&](const char*, auto& field) { field = next++; });
+  ThreadMetrics doubled = m;
+  doubled += m;
+
+  std::set<std::string> names;
+  std::vector<std::int64_t> once;
+  std::vector<std::int64_t> twice;
+  m.visit([&](const char* name, auto value) {
+    names.insert(name);
+    once.push_back(static_cast<std::int64_t>(value));
+  });
+  doubled.visit(
+      [&](const char*, auto value) { twice.push_back(static_cast<std::int64_t>(value)); });
+  EXPECT_EQ(names.size(), 41u);
+  EXPECT_EQ(ThreadMetrics::kCounters, 41u);
+  ASSERT_EQ(twice.size(), once.size());
+  for (std::size_t i = 0; i < once.size(); ++i) {
+    EXPECT_EQ(once[i], static_cast<std::int64_t>(i) + 1);
+    EXPECT_EQ(twice[i], 2 * once[i]) << i;
+  }
+  // The visitor walks the fields themselves, first to last.
+  EXPECT_EQ(m.commits, 1u);
+  EXPECT_EQ(m.serve_queue_wait_ns, 41);
+  EXPECT_TRUE(names.count("ebr_shard_syncs"));
 }
 
 TEST(StmBasic, UnclockedManagerSamplesTiming) {

@@ -31,6 +31,13 @@ Modes:
   /dstm_greedy row, `BM_WriteOneObject/orec`) are the self-check that the
   probe sees publications at all.
 
+The four bench reports below (scaling, backend, serve, arbitration) share
+one shape, written by harness::write_report: {"context": {..., "host_cpus":
+N}, "rows": [...]}, one row per cell. A row holds the bench's config
+fields, every ThreadMetrics counter under its field name, the derived
+attempts, attempts_per_s, throughput_per_s, aborts_per_commit and valid,
+and the bench's own extras.
+
 * --mode scaling (BENCH_scaling.json, from bench/fig_scaling_matrix --json):
   the shared commit-clock line must actually go quiet under the deferred
   protocol. Always gated, per row: validation passed, attempt conservation
@@ -54,14 +61,15 @@ Modes:
 * --mode serve (BENCH_serve.json, from bench/fig_serve_scaling --json): the
   serving front-end must not lose requests. Always gated, per cell:
   validation passed, accepted == enqueued == dequeued, and
-  completed + expired + cancelled == dequeued (exact conservation across
-  queue, workers, and drain). The conflict-aware-policy clause — at every
-  arrival rate, conflict-graph and window-frame each sustain at least
-  --min-throughput-ratio x round-robin's completions/s OR keep p99 at most
-  --max-p99-ratio x round-robin's — is additionally gated when the
-  producing host had at least `threads` CPUs (context.host_cpus); on an
-  oversubscribed host the ratios measure the OS scheduler, not the
-  admission policy, so they are reported informationally instead.
+  serve_completed + serve_expired + serve_cancelled == dequeued (exact
+  conservation across queue, workers, and drain). The conflict-aware-policy
+  clause — at every arrival rate, window-frame sustains at least
+  --min-throughput-ratio x round-robin's completions/s (throughput_per_s)
+  OR keeps p99 at most --max-p99-ratio x round-robin's — is additionally
+  gated when the producing host had at least `threads` CPUs
+  (context.host_cpus); on an oversubscribed host the ratios measure the OS
+  scheduler, not the admission policy, so they are reported
+  informationally instead.
 
 * --mode arbitration (BENCH_arbitration.json, from bench/fig_arbitration
   --json): the abort-vs-wait arbitration sweep. Always gated, per row:
@@ -224,27 +232,52 @@ def gate_clock(report) -> int:
     return 1 if failed else 0
 
 
-def load_serve_report(json_path: str):
-    """BENCH_serve.json is fig_serve_scaling's own format, not Google
-    Benchmark's: {"context": {...}, "serve": [cell rows]}."""
+def load_rows_report(json_path: str):
+    """The shared bench report shape: {"context": {...}, "rows": [...]}."""
     try:
         with open(json_path, encoding="utf-8") as f:
             report = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         print(f"check_bench: {json_path}: cannot load: {e}", file=sys.stderr)
         return None
-    if not isinstance(report, dict) or not isinstance(report.get("serve"), list):
+    if not isinstance(report, dict) or not isinstance(report.get("rows"), list):
         print(
-            f"check_bench: {json_path}: no 'serve' array; expected "
-            "fig_serve_scaling --json output",
+            f"check_bench: {json_path}: no 'rows' array; expected the --json "
+            "output of fig_backend, fig_arbitration, fig_scaling_matrix or "
+            "fig_serve_scaling",
             file=sys.stderr,
         )
         return None
     return report
 
 
+def check_attempts(name: str, r, require_commits: bool) -> bool:
+    """Per-row structural gate shared by the closed-loop modes: validation
+    passed and attempts == commits + aborts, plus commits > 0 where the mode
+    requires it. Returns True when the row failed."""
+    failed = False
+    if not r.get("valid", False):
+        print(f"check_bench: {name}: workload validation FAILED", file=sys.stderr)
+        failed = True
+    attempts = r.get("attempts", -1)
+    accounted = r.get("commits", 0) + r.get("aborts", 0)
+    if attempts != accounted:
+        print(
+            f"check_bench: {name}: attempt conservation FAILED "
+            f"(attempts={attempts} commits+aborts={accounted})",
+            file=sys.stderr,
+        )
+        failed = True
+    elif require_commits and r.get("commits", 0) <= 0:
+        print(f"check_bench: {name}: zero commits", file=sys.stderr)
+        failed = True
+    else:
+        print(f"check_bench: {name}: conserved {attempts} attempts, valid ok")
+    return failed
+
+
 def gate_serve(report, min_throughput_ratio: float, max_p99_ratio: float) -> int:
-    rows = report["serve"]
+    rows = report["rows"]
     if not rows:
         print("check_bench: serve report has no cells", file=sys.stderr)
         return 1
@@ -260,20 +293,24 @@ def gate_serve(report, min_throughput_ratio: float, max_p99_ratio: float) -> int
         accepted = r.get("accepted", -1)
         enqueued = r.get("enqueued", -2)
         dequeued = r.get("dequeued", -3)
-        accounted = r.get("completed", 0) + r.get("expired", 0) + r.get("cancelled", 0)
+        accounted = (
+            r.get("serve_completed", 0)
+            + r.get("serve_expired", 0)
+            + r.get("serve_cancelled", 0)
+        )
         if not (accepted == enqueued == dequeued == accounted):
             print(
                 f"check_bench: {name}: request conservation FAILED "
                 f"(accepted={accepted} enqueued={enqueued} dequeued={dequeued} "
-                f"completed+expired+cancelled={accounted})",
+                f"serve_completed+serve_expired+serve_cancelled={accounted})",
                 file=sys.stderr,
             )
             failed = True
         else:
             print(f"check_bench: {name}: conserved {dequeued} requests, valid ok")
 
-    # Conflict-aware clause: per (threads, rate) group, conflict-graph and
-    # window-frame vs the round-robin baseline. Enforced per group, only
+    # Conflict-aware clause: per (threads, rate) group, window-frame vs the
+    # round-robin baseline. Enforced per group, only
     # when the producing host had enough CPUs to actually run that group's
     # workers concurrently (rows carry their own thread count now that
     # fig_serve_scaling sweeps M; older reports fall back to the context).
@@ -294,13 +331,13 @@ def gate_serve(report, min_throughput_ratio: float, max_p99_ratio: float) -> int
         )
         any_ungated = any_ungated or not enforce
         base = policies.get("round-robin")
-        if base is None or base.get("completed_per_s", 0) <= 0:
+        if base is None or base.get("throughput_per_s", 0) <= 0:
             continue
-        for name in ("conflict-graph", "window-frame"):
+        for name in ("window-frame",):
             row = policies.get(name)
             if row is None:
                 continue
-            thr_ratio = row.get("completed_per_s", 0) / base["completed_per_s"]
+            thr_ratio = row.get("throughput_per_s", 0) / base["throughput_per_s"]
             base_p99 = base.get("p99_us", 0)
             p99_ratio = row.get("p99_us", 0) / base_p99 if base_p99 > 0 else float("inf")
             ok = thr_ratio >= min_throughput_ratio or p99_ratio <= max_p99_ratio
@@ -320,27 +357,8 @@ def gate_serve(report, min_throughput_ratio: float, max_p99_ratio: float) -> int
     return 1 if failed else 0
 
 
-def load_scaling_report(json_path: str):
-    """BENCH_scaling.json is fig_scaling_matrix's own format:
-    {"context": {...}, "scaling": [rows]}."""
-    try:
-        with open(json_path, encoding="utf-8") as f:
-            report = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"check_bench: {json_path}: cannot load: {e}", file=sys.stderr)
-        return None
-    if not isinstance(report, dict) or not isinstance(report.get("scaling"), list):
-        print(
-            f"check_bench: {json_path}: no 'scaling' array; expected "
-            "fig_scaling_matrix --json output",
-            file=sys.stderr,
-        )
-        return None
-    return report
-
-
 def gate_scaling(report, max_bump_ratio: float) -> int:
-    rows = report["scaling"]
+    rows = report["rows"]
     if not rows:
         print("check_bench: scaling report has no rows", file=sys.stderr)
         return 1
@@ -352,20 +370,7 @@ def gate_scaling(report, max_bump_ratio: float) -> int:
     # conserve exactly into commits + aborts.
     for r in rows:
         name = f"M={r.get('threads', '?')}"
-        if not r.get("valid", False):
-            print(f"check_bench: {name}: workload validation FAILED", file=sys.stderr)
-            failed = True
-        attempts = r.get("attempts", -1)
-        accounted = r.get("commits", 0) + r.get("aborts", 0)
-        if attempts != accounted:
-            print(
-                f"check_bench: {name}: attempt conservation FAILED "
-                f"(attempts={attempts} commits+aborts={accounted})",
-                file=sys.stderr,
-            )
-            failed = True
-        else:
-            print(f"check_bench: {name}: conserved {attempts} attempts, valid ok")
+        failed |= check_attempts(name, r, require_commits=False)
         # Write-commits must actually stamp (deferred clock active).
         if r.get("commits", 0) > 0 and r.get("deferred_stamps", 0) == 0:
             print(
@@ -399,27 +404,8 @@ def gate_scaling(report, max_bump_ratio: float) -> int:
     return 1 if failed else 0
 
 
-def load_backend_report(json_path: str):
-    """BENCH_backend.json is fig_backend's own format:
-    {"context": {...}, "backend": [rows]}."""
-    try:
-        with open(json_path, encoding="utf-8") as f:
-            report = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"check_bench: {json_path}: cannot load: {e}", file=sys.stderr)
-        return None
-    if not isinstance(report, dict) or not isinstance(report.get("backend"), list):
-        print(
-            f"check_bench: {json_path}: no 'backend' array; expected "
-            "fig_backend --json output",
-            file=sys.stderr,
-        )
-        return None
-    return report
-
-
 def gate_backend(report, min_orec_attempt_ratio: float) -> int:
-    rows = report["backend"]
+    rows = report["rows"]
     if not rows:
         print("check_bench: backend report has no rows", file=sys.stderr)
         return 1
@@ -434,23 +420,7 @@ def gate_backend(report, min_orec_attempt_ratio: float) -> int:
             f"{r.get('benchmark', '?')}/M={r.get('threads', '?')}/"
             f"{r.get('backend', '?')}"
         )
-        if not r.get("valid", False):
-            print(f"check_bench: {name}: workload validation FAILED", file=sys.stderr)
-            failed = True
-        attempts = r.get("attempts", -1)
-        accounted = r.get("commits", 0) + r.get("aborts", 0)
-        if attempts != accounted:
-            print(
-                f"check_bench: {name}: attempt conservation FAILED "
-                f"(attempts={attempts} commits+aborts={accounted})",
-                file=sys.stderr,
-            )
-            failed = True
-        elif r.get("commits", 0) <= 0:
-            print(f"check_bench: {name}: zero commits", file=sys.stderr)
-            failed = True
-        else:
-            print(f"check_bench: {name}: conserved {attempts} attempts, valid ok")
+        failed |= check_attempts(name, r, require_commits=True)
         # The orec counters separate the engines: the lazy engine commits by
         # write-back, the eager engine never touches that path.
         write_backs = r.get("orec_write_backs", 0)
@@ -506,32 +476,13 @@ def gate_backend(report, min_orec_attempt_ratio: float) -> int:
     return 1 if failed else 0
 
 
-def load_arbitration_report(json_path: str):
-    """BENCH_arbitration.json is fig_arbitration's own format:
-    {"context": {...}, "arbitration": [rows]}."""
-    try:
-        with open(json_path, encoding="utf-8") as f:
-            report = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"check_bench: {json_path}: cannot load: {e}", file=sys.stderr)
-        return None
-    if not isinstance(report, dict) or not isinstance(report.get("arbitration"), list):
-        print(
-            f"check_bench: {json_path}: no 'arbitration' array; expected "
-            "fig_arbitration --json output",
-            file=sys.stderr,
-        )
-        return None
-    return report
-
-
 def gate_arbitration(
     report,
     max_wait_nivcsw_ratio: float,
     max_wait_cpu_ratio: float,
     min_wait_attempt_ratio: float,
 ) -> int:
-    rows = report["arbitration"]
+    rows = report["rows"]
     if not rows:
         print("check_bench: arbitration report has no rows", file=sys.stderr)
         return 1
@@ -546,23 +497,7 @@ def gate_arbitration(
             f"{r.get('benchmark', '?')}/M={r.get('threads', '?')}/"
             f"{r.get('mode', '?')}"
         )
-        if not r.get("valid", False):
-            print(f"check_bench: {name}: workload validation FAILED", file=sys.stderr)
-            failed = True
-        attempts = r.get("attempts", -1)
-        accounted = r.get("commits", 0) + r.get("aborts", 0)
-        if attempts != accounted:
-            print(
-                f"check_bench: {name}: attempt conservation FAILED "
-                f"(attempts={attempts} commits+aborts={accounted})",
-                file=sys.stderr,
-            )
-            failed = True
-        elif r.get("commits", 0) <= 0:
-            print(f"check_bench: {name}: zero commits", file=sys.stderr)
-            failed = True
-        else:
-            print(f"check_bench: {name}: conserved {attempts} attempts, valid ok")
+        failed |= check_attempts(name, r, require_commits=True)
         # Parking is strictly opt-in: abort rows must never park; wait rows
         # on these contended cells must actually exercise the ParkingLot
         # (a conflict-heavy run that never parks means the wait verb is
@@ -637,7 +572,7 @@ def gate_arbitration(
     return 1 if failed else 0
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("json_path")
     parser.add_argument(
@@ -654,36 +589,24 @@ def main() -> int:
     parser.add_argument("--max-wait-nivcsw-ratio", type=float, default=0.9)
     parser.add_argument("--max-wait-cpu-ratio", type=float, default=0.95)
     parser.add_argument("--min-wait-attempt-ratio", type=float, default=0.95)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
-    if args.mode == "arbitration":
-        report = load_arbitration_report(args.json_path)
+    if args.mode in ("scaling", "backend", "serve", "arbitration"):
+        report = load_rows_report(args.json_path)
         if report is None:
             return 1
+        if args.mode == "scaling":
+            return gate_scaling(report, args.max_bump_ratio)
+        if args.mode == "backend":
+            return gate_backend(report, args.min_orec_attempt_ratio)
+        if args.mode == "serve":
+            return gate_serve(report, args.min_throughput_ratio, args.max_p99_ratio)
         return gate_arbitration(
             report,
             args.max_wait_nivcsw_ratio,
             args.max_wait_cpu_ratio,
             args.min_wait_attempt_ratio,
         )
-
-    if args.mode == "backend":
-        report = load_backend_report(args.json_path)
-        if report is None:
-            return 1
-        return gate_backend(report, args.min_orec_attempt_ratio)
-
-    if args.mode == "serve":
-        report = load_serve_report(args.json_path)
-        if report is None:
-            return 1
-        return gate_serve(report, args.min_throughput_ratio, args.max_p99_ratio)
-
-    if args.mode == "scaling":
-        report = load_scaling_report(args.json_path)
-        if report is None:
-            return 1
-        return gate_scaling(report, args.max_bump_ratio)
 
     report = load_report(args.json_path)
     if report is None:

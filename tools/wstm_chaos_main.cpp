@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   cli.add_flag("update-percent", "percent of update transactions", std::int64_t{100});
   cli.add_flag("serve", "open-loop serving front-end cells instead of the closed loop", false);
   cli.add_flag("arrival-rate", "total offered load with --serve, requests/second", 50'000.0);
-  cli.add_flag("policy", "admission policy with --serve", std::string("conflict-graph"));
+  cli.add_flag("policy", "admission policy with --serve", std::string("window-frame"));
   cli.add_flag("producers", "producer threads with --serve", std::int64_t{1});
   cli.add_flag("serve-deadline-ms", "per-request deadline with --serve (0 = none)",
                std::int64_t{100});
@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
         CellVerdict v;
         v.label = benchmark + "/" + cm_name + "/" + cli.get_string("policy");
         std::fprintf(stderr, "[chaos-serve] %s ...\n", v.label.c_str());
-        harness::OpenLoopResult r;
+        harness::RunResult r;
         try {
           auto workload = harness::make_workload(benchmark, update_percent, key_range);
           harness::ServeConfig serve_cfg;
@@ -129,8 +129,8 @@ int main(int argc, char** argv) {
           continue;
         }
 
-        const stm::ThreadMetrics& t = r.base.totals;
-        if (!r.base.valid) v.failures.push_back("validation failed: " + r.base.why);
+        const stm::ThreadMetrics& t = r.totals;
+        if (!r.valid) v.failures.push_back("validation failed: " + r.why);
         if (t.serve_completed == 0) v.failures.push_back("no completions (silent hang)");
         // The starvation gate: every dequeued request must be resolved —
         // committed, shed at its deadline, cancelled by shutdown, or timed

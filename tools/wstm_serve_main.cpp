@@ -36,7 +36,7 @@ struct CliConfig {
   double zipf_alpha = 1.2;
 };
 
-harness::OpenLoopResult run_once(const CliConfig& cfg, double rate) {
+harness::RunResult run_once(const CliConfig& cfg, double rate) {
   auto workload =
       harness::make_workload(cfg.benchmark, cfg.update_percent, cfg.key_range, cfg.zipf_alpha);
   harness::ServeConfig serve = cfg.serve;
@@ -44,21 +44,20 @@ harness::OpenLoopResult run_once(const CliConfig& cfg, double rate) {
   return harness::run_open_loop(cfg.cm, cm::Params{}, *workload, cfg.run, serve);
 }
 
-void print_report(const harness::OpenLoopResult& r, double rate) {
+void print_report(const harness::RunResult& r, double rate) {
   std::printf("rate %.0f/s: offered %.0f/s accepted %.0f/s completed %.0f/s\n", rate,
-              r.offered_per_s, r.accepted_per_s, r.completed_per_s);
-  std::printf("  sojourn p50 %.1f us  p95 %.1f us  p99 %.1f us  (%llu sampled ops)\n",
-              r.base.p50_us, r.base.p95_us, r.base.p99_us,
-              static_cast<unsigned long long>(r.base.latency_count));
+              r.offered_per_s, r.accepted_per_s, r.summary.throughput_per_s);
+  std::printf("  sojourn p50 %.1f us  p95 %.1f us  p99 %.1f us  (%llu sampled ops)\n", r.p50_us,
+              r.p95_us, r.p99_us, static_cast<unsigned long long>(r.latency_count));
   std::printf("  queues: accepted %llu  shed-full %llu  max depth %llu\n",
               static_cast<unsigned long long>(r.server.accepted),
               static_cast<unsigned long long>(r.server.rejected_full),
               static_cast<unsigned long long>(r.server.max_depth));
   std::printf("  expired %llu  deadline misses %llu  cancelled %llu  aborts/commit %.3f%s\n",
-              static_cast<unsigned long long>(r.expired),
-              static_cast<unsigned long long>(r.deadline_misses),
-              static_cast<unsigned long long>(r.cancelled), r.base.summary.aborts_per_commit,
-              r.base.valid ? "" : "  VALIDATION FAILED");
+              static_cast<unsigned long long>(r.totals.serve_expired),
+              static_cast<unsigned long long>(r.totals.serve_deadline_misses),
+              static_cast<unsigned long long>(r.totals.serve_cancelled),
+              r.summary.aborts_per_commit, r.valid ? "" : "  VALIDATION FAILED");
 }
 
 }  // namespace
@@ -71,8 +70,7 @@ int main(int argc, char** argv) {
   cli.add_flag("ms", "production window per run, milliseconds", std::int64_t{300});
   cli.add_flag("rate", "arrival rate, requests/s (the starting rate with --saturate)",
                100'000.0);
-  cli.add_flag("policy", "admission policy: round-robin | key-hash | conflict-graph | "
-                         "window-frame",
+  cli.add_flag("policy", "admission policy: round-robin | key-hash | window-frame",
                std::string("round-robin"));
   cli.add_flag("producers", "producer threads", std::int64_t{2});
   cli.add_flag("queues", "submit queues (0 = one per worker)", std::int64_t{0});
@@ -117,21 +115,21 @@ int main(int argc, char** argv) {
 
   try {
     if (!cli.get_bool("saturate")) {
-      const harness::OpenLoopResult r = run_once(cfg, cli.get_double("rate"));
+      const harness::RunResult r = run_once(cfg, cli.get_double("rate"));
       print_report(r, cli.get_double("rate"));
-      return r.base.valid ? 0 : 1;
+      return r.valid ? 0 : 1;
     }
 
     // Saturation search: geometric ramp to bracket, then binary refine.
     const double sustain = cli.get_double("sustain-fraction");
     bool all_valid = true;
     auto sustained = [&](double rate, double* completed) {
-      const harness::OpenLoopResult r = run_once(cfg, rate);
-      all_valid = all_valid && r.base.valid;
-      *completed = r.completed_per_s;
-      const bool ok = r.completed_per_s >= sustain * r.offered_per_s;
+      const harness::RunResult r = run_once(cfg, rate);
+      all_valid = all_valid && r.valid;
+      *completed = r.summary.throughput_per_s;
+      const bool ok = r.summary.throughput_per_s >= sustain * r.offered_per_s;
       std::fprintf(stderr, "[saturate] %.0f/s -> completed %.0f/s %s\n", rate,
-                   r.completed_per_s, ok ? "sustained" : "NOT sustained");
+                   r.summary.throughput_per_s, ok ? "sustained" : "NOT sustained");
       return ok;
     };
 
