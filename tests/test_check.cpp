@@ -344,12 +344,37 @@ TEST(CheckerSeededBug, CleanProtocolSurvivesSameBudget) {
 
 // ---- decision parity with recorded schedules -------------------------------
 
+// The conflict accounting of one run, which every conflict site feeds: the
+// three conflict kinds, repeat conflicts, attempts that waited, parks and
+// orec lock waits. `unparks` is not pinned: under the checker an unpark edge
+// is a kUnpark schedule point and the counter stays 0.
+struct ConflictCounts {
+  std::uint64_t ww;
+  std::uint64_t rw;
+  std::uint64_t wr;
+  std::uint64_t repeats;
+  std::uint64_t waits;
+  std::uint64_t parks;
+  std::uint64_t lock_waits;
+};
+
+void expect_counts(const stm::ThreadMetrics& m, const ConflictCounts& want) {
+  EXPECT_EQ(m.ww_conflicts, want.ww);
+  EXPECT_EQ(m.rw_conflicts, want.rw);
+  EXPECT_EQ(m.wr_conflicts, want.wr);
+  EXPECT_EQ(m.repeat_conflicts, want.repeats);
+  EXPECT_EQ(m.waits, want.waits);
+  EXPECT_EQ(m.parks, want.parks);
+  EXPECT_EQ(m.orec_lock_waits, want.lock_waits);
+}
+
 // Shrunk failing schedules of the six CI seeded bugs, recorded before the
 // ablation-only STM paths were removed (tests/data/). They still carry the
 // retired snapshot_ext/deferred_clock keys, which the parser ignores.
-// Replaying must reproduce the recorded verdict, step count, commits, aborts
-// and divergences exactly, so any change to an engine's schedule-point
-// stream or to a CM decision shows up here.
+// Replaying must reproduce the recorded verdict, step count, commits, aborts,
+// divergences and conflict counts exactly, so any change to an engine's
+// schedule-point stream, to a CM decision or to the conflict accounting
+// shows up here.
 struct RecordedRun {
   const char* name;
   const char* file;
@@ -357,6 +382,7 @@ struct RecordedRun {
   std::uint64_t commits;
   std::uint64_t aborts;
   std::uint64_t divergences;
+  ConflictCounts counts;
 };
 
 // The default printer dumps the struct's bytes, pointers included, into the
@@ -374,17 +400,23 @@ TEST_P(CheckerParity, RecordedScheduleReplaysIdentically) {
   EXPECT_EQ(r.metrics.commits, rec.commits);
   EXPECT_EQ(r.metrics.aborts, rec.aborts);
   EXPECT_EQ(r.divergences, rec.divergences);
+  expect_counts(r.metrics, rec.counts);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     SeededBugs, CheckerParity,
-    ::testing::Values(RecordedRun{"BlindCommit", "blind-commit.sched", 928, 72, 2, 0},
-                      RecordedRun{"SkipReaderAbort", "skip-reader-abort.sched", 957, 72, 0, 1},
-                      RecordedRun{"SkipCasRecheck", "skip-cas-recheck.sched", 1463, 72, 1, 0},
-                      RecordedRun{"StampNoPending", "stamp-no-pending.sched", 2758, 72, 103, 0},
+    ::testing::Values(RecordedRun{"BlindCommit", "blind-commit.sched", 928, 72, 2, 0,
+                                  {0, 1, 2, 0, 0, 0, 0}},
+                      RecordedRun{"SkipReaderAbort", "skip-reader-abort.sched", 957, 72, 0, 1,
+                                  {0, 0, 0, 0, 0, 0, 0}},
+                      RecordedRun{"SkipCasRecheck", "skip-cas-recheck.sched", 1463, 72, 1, 0,
+                                  {0, 0, 0, 0, 0, 0, 0}},
+                      RecordedRun{"StampNoPending", "stamp-no-pending.sched", 2758, 72, 103, 0,
+                                  {18, 76, 0, 0, 0, 0, 0}},
                       RecordedRun{"SkipReadValidation", "skip-read-validation.sched", 857, 72,
-                                  1, 1},
-                      RecordedRun{"ParkLostWakeup", "park-lost-wakeup.sched", 911, 72, 1, 1}),
+                                  1, 1, {0, 0, 0, 0, 0, 0, 0}},
+                      RecordedRun{"ParkLostWakeup", "park-lost-wakeup.sched", 911, 72, 1, 1,
+                                  {0, 1, 1, 0, 0, 1, 0}}),
     [](const ::testing::TestParamInfo<RecordedRun>& info) { return info.param.name; });
 
 // ---- stall-anywhere fault + liveness layer under exploration ---------------
@@ -468,15 +500,16 @@ TEST(CheckerWindow, WindowManagerRunsStayClean) {
 // both engines in both arbitration modes, three policy seeds each (the first
 // seeds from 1 up whose runs stay within the step budget: past it the
 // executor free-runs, which no decision log captures). Each run's steps,
-// commits, aborts and a hash of its full decision log must match the
-// recorded values, so any change to a window decision, a frame assignment or
-// a frame advance shows up here.
+// commits, aborts, conflict counts and a hash of its full decision log must
+// match the recorded values, so any change to a window decision, a frame
+// assignment, a frame advance or the conflict accounting shows up here.
 struct PinnedRun {
   std::uint64_t seed;
   std::uint64_t steps;
   std::uint64_t commits;
   std::uint64_t aborts;
   std::uint64_t decision_hash;
+  ConflictCounts counts;
 };
 
 struct PinnedConfig {
@@ -504,101 +537,101 @@ std::uint64_t hash_decisions(const std::vector<check::Decision>& decisions) {
 
 const PinnedConfig kWindowPins[] = {
     {"Online_dstm_abort", "Online", "dstm", "abort",
-     {{{1, 871, 48, 33, 0x030f4e08094bfcf6},
-       {2, 1098, 48, 51, 0x38527e07efca3b7a},
-       {3, 781, 48, 27, 0x32c0446e179f9fbe}}}},
+     {{{1, 871, 48, 33, 0x030f4e08094bfcf6, {1, 13, 19, 3, 0, 0, 0}},
+       {2, 1098, 48, 51, 0x38527e07efca3b7a, {0, 17, 34, 13, 0, 0, 0}},
+       {3, 781, 48, 27, 0x32c0446e179f9fbe, {1, 11, 15, 4, 0, 0, 0}}}}},
     {"Online_dstm_wait", "Online", "dstm", "wait",
-     {{{1, 1140, 48, 42, 0x1db0e9f080335644},
-       {2, 968, 48, 29, 0xdfe0db13fe0ec408},
-       {3, 923, 48, 26, 0x5b46a78d682efb6b}}}},
+     {{{1, 1140, 48, 42, 0x1db0e9f080335644, {0, 16, 31, 1, 5, 5, 0}},
+       {2, 968, 48, 29, 0xdfe0db13fe0ec408, {0, 17, 15, 7, 3, 3, 0}},
+       {3, 923, 48, 26, 0x5b46a78d682efb6b, {1, 15, 18, 1, 8, 8, 0}}}}},
     {"Online_orec_abort", "Online", "orec", "abort",
-     {{{1, 1346, 48, 41, 0xf0bec1b9dad16996},
-       {2, 1319, 48, 39, 0x866b22087daa2918},
-       {3, 925, 48, 16, 0x10e89bdb446441b2}}}},
+     {{{1, 1346, 48, 41, 0xf0bec1b9dad16996, {4, 34, 0, 2, 0, 0, 1}},
+       {2, 1319, 48, 39, 0x866b22087daa2918, {3, 31, 0, 7, 0, 0, 1}},
+       {3, 925, 48, 16, 0x10e89bdb446441b2, {4, 12, 0, 1, 0, 0, 3}}}}},
     {"Online_orec_wait", "Online", "orec", "wait",
-     {{{2, 1177, 48, 22, 0x6a3640100e8724a7},
-       {3, 1141, 48, 23, 0xbdbdab3fa3fcb10a},
-       {4, 1169, 48, 26, 0x212f9ade671c0b29}}}},
+     {{{2, 1177, 48, 22, 0x6a3640100e8724a7, {2, 20, 0, 2, 7, 7, 2}},
+       {3, 1141, 48, 23, 0xbdbdab3fa3fcb10a, {4, 19, 0, 1, 3, 3, 3}},
+       {4, 1169, 48, 26, 0x212f9ade671c0b29, {3, 18, 0, 2, 3, 3, 2}}}}},
     {"OnlineDynamic_dstm_abort", "Online-Dynamic", "dstm", "abort",
-     {{{1, 782, 48, 23, 0x23c74fe8290c2aa0},
-       {2, 871, 48, 33, 0x90f21d7a78e89425},
-       {3, 985, 48, 44, 0xb579f68e3dc4de6f}}}},
+     {{{1, 782, 48, 23, 0x23c74fe8290c2aa0, {1, 10, 12, 3, 0, 0, 0}},
+       {2, 871, 48, 33, 0x90f21d7a78e89425, {0, 14, 19, 6, 0, 0, 0}},
+       {3, 985, 48, 44, 0xb579f68e3dc4de6f, {0, 17, 27, 4, 0, 0, 0}}}}},
     {"OnlineDynamic_dstm_wait", "Online-Dynamic", "dstm", "wait",
-     {{{1, 999, 48, 26, 0xe91a2ba9e9fce020},
-       {2, 998, 48, 28, 0x40d078208c5f7408},
-       {3, 920, 48, 22, 0xbf530e19ba8d2678}}}},
+     {{{1, 999, 48, 26, 0xe91a2ba9e9fce020, {1, 13, 17, 2, 5, 5, 0}},
+       {2, 998, 48, 28, 0x40d078208c5f7408, {1, 19, 20, 1, 11, 12, 0}},
+       {3, 920, 48, 22, 0xbf530e19ba8d2678, {0, 8, 17, 0, 3, 3, 0}}}}},
     {"OnlineDynamic_orec_abort", "Online-Dynamic", "orec", "abort",
-     {{{1, 1125, 48, 28, 0x1135b718139022b0},
-       {2, 1253, 48, 36, 0xcf07106b4510c305},
-       {3, 1272, 48, 42, 0xc562e8d63ceb60e4}}}},
+     {{{1, 1125, 48, 28, 0x1135b718139022b0, {3, 22, 0, 3, 0, 0, 2}},
+       {2, 1253, 48, 36, 0xcf07106b4510c305, {3, 30, 0, 7, 0, 0, 3}},
+       {3, 1272, 48, 42, 0xc562e8d63ceb60e4, {6, 34, 0, 6, 0, 0, 5}}}}},
     {"OnlineDynamic_orec_wait", "Online-Dynamic", "orec", "wait",
-     {{{1, 1356, 48, 29, 0x93b287f23fe0147f},
-       {3, 1196, 48, 25, 0x6a2659a9f20ef861},
-       {4, 1262, 48, 27, 0xfb0a9171b7c48919}}}},
+     {{{1, 1356, 48, 29, 0x93b287f23fe0147f, {4, 25, 0, 0, 4, 4, 2}},
+       {3, 1196, 48, 25, 0x6a2659a9f20ef861, {4, 21, 0, 1, 5, 5, 1}},
+       {4, 1262, 48, 27, 0xfb0a9171b7c48919, {2, 21, 0, 2, 6, 6, 1}}}}},
     {"Adaptive_dstm_abort", "Adaptive", "dstm", "abort",
-     {{{1, 787, 48, 26, 0x648d8cce6fc6accf},
-       {2, 1017, 48, 51, 0x582d990cc31d4157},
-       {3, 904, 48, 35, 0xf2fab9e0212bb408}}}},
+     {{{1, 787, 48, 26, 0x648d8cce6fc6accf, {1, 12, 13, 4, 0, 0, 0}},
+       {2, 1017, 48, 51, 0x582d990cc31d4157, {0, 25, 26, 16, 0, 0, 0}},
+       {3, 904, 48, 35, 0xf2fab9e0212bb408, {2, 11, 22, 5, 0, 0, 0}}}}},
     {"Adaptive_dstm_wait", "Adaptive", "dstm", "wait",
-     {{{1, 1229, 48, 51, 0xdcc126fd65663f6c},
-       {2, 1057, 48, 40, 0x6c5c3ca734994048},
-       {3, 1067, 48, 32, 0x38f62bebfdcd4a6a}}}},
+     {{{1, 1229, 48, 51, 0xdcc126fd65663f6c, {1, 23, 36, 5, 9, 9, 0}},
+       {2, 1057, 48, 40, 0x6c5c3ca734994048, {0, 26, 20, 10, 6, 6, 0}},
+       {3, 1067, 48, 32, 0x38f62bebfdcd4a6a, {1, 16, 22, 0, 7, 7, 0}}}}},
     {"Adaptive_orec_abort", "Adaptive", "orec", "abort",
-     {{{1, 1316, 48, 37, 0x1ef7ef4aa4ab51ae},
-       {2, 1660, 48, 62, 0x568e28fea20311b4},
-       {3, 970, 48, 20, 0x1d06fdf80f35b13b}}}},
+     {{{1, 1316, 48, 37, 0x1ef7ef4aa4ab51ae, {4, 30, 0, 3, 0, 0, 3}},
+       {2, 1660, 48, 62, 0x568e28fea20311b4, {6, 53, 0, 13, 0, 0, 3}},
+       {3, 970, 48, 20, 0x1d06fdf80f35b13b, {4, 16, 0, 2, 0, 0, 3}}}}},
     {"Adaptive_orec_wait", "Adaptive", "orec", "wait",
-     {{{1, 1339, 48, 29, 0xc7d947b60273c1e8},
-       {2, 1521, 48, 37, 0x065d7cd2991280f3},
-       {3, 1216, 48, 27, 0x856242dc1b73c817}}}},
+     {{{1, 1339, 48, 29, 0xc7d947b60273c1e8, {2, 27, 0, 2, 7, 7, 0}},
+       {2, 1521, 48, 37, 0x065d7cd2991280f3, {2, 39, 0, 3, 9, 11, 2}},
+       {3, 1216, 48, 27, 0x856242dc1b73c817, {5, 23, 0, 2, 4, 4, 1}}}}},
     {"AdaptiveDynamic_dstm_abort", "Adaptive-Dynamic", "dstm", "abort",
-     {{{1, 794, 48, 26, 0x3f0064a06ccd72d4},
-       {2, 871, 48, 33, 0x90f21d7a78e89425},
-       {3, 959, 48, 48, 0xd40e11ec30bede48}}}},
+     {{{1, 794, 48, 26, 0x3f0064a06ccd72d4, {1, 9, 16, 2, 0, 0, 0}},
+       {2, 871, 48, 33, 0x90f21d7a78e89425, {0, 14, 19, 6, 0, 0, 0}},
+       {3, 959, 48, 48, 0xd40e11ec30bede48, {1, 28, 19, 11, 0, 0, 0}}}}},
     {"AdaptiveDynamic_dstm_wait", "Adaptive-Dynamic", "dstm", "wait",
-     {{{1, 922, 48, 28, 0xee6026189629e848},
-       {2, 1080, 48, 32, 0x0acb38c59ea42721},
-       {3, 892, 48, 22, 0xffdae4fec8d46239}}}},
+     {{{1, 922, 48, 28, 0xee6026189629e848, {0, 16, 20, 4, 8, 8, 0}},
+       {2, 1080, 48, 32, 0x0acb38c59ea42721, {1, 20, 24, 1, 12, 13, 0}},
+       {3, 892, 48, 22, 0xffdae4fec8d46239, {0, 15, 16, 0, 9, 9, 0}}}}},
     {"AdaptiveDynamic_orec_abort", "Adaptive-Dynamic", "orec", "abort",
-     {{{1, 1037, 48, 22, 0x0987563e543efb60},
-       {2, 1263, 48, 36, 0x0d629cc3c64fd952},
-       {3, 1397, 48, 47, 0xeb964f74b8f1c908}}}},
+     {{{1, 1037, 48, 22, 0x0987563e543efb60, {2, 19, 0, 5, 0, 0, 2}},
+       {2, 1263, 48, 36, 0x0d629cc3c64fd952, {3, 29, 0, 5, 0, 0, 3}},
+       {3, 1397, 48, 47, 0xeb964f74b8f1c908, {3, 37, 0, 5, 0, 0, 2}}}}},
     {"AdaptiveDynamic_orec_wait", "Adaptive-Dynamic", "orec", "wait",
-     {{{1, 1362, 48, 27, 0x2b9891deecf349de},
-       {2, 1209, 48, 22, 0x9c70ef4e9e771ffa},
-       {3, 1147, 48, 23, 0xe1643eca44169fd7}}}},
+     {{{1, 1362, 48, 27, 0x2b9891deecf349de, {3, 25, 0, 0, 7, 7, 3}},
+       {2, 1209, 48, 22, 0x9c70ef4e9e771ffa, {4, 19, 0, 1, 7, 7, 2}},
+       {3, 1147, 48, 23, 0xe1643eca44169fd7, {4, 20, 0, 1, 6, 6, 1}}}}},
     {"AdaptiveImproved_dstm_abort", "Adaptive-Improved", "dstm", "abort",
-     {{{1, 798, 48, 27, 0xd7993966f3d1980d},
-       {2, 999, 48, 54, 0x645d0e6f0f082645},
-       {3, 972, 48, 46, 0xf2f8f56804f47b3c}}}},
+     {{{1, 798, 48, 27, 0xd7993966f3d1980d, {1, 12, 14, 5, 0, 0, 0}},
+       {2, 999, 48, 54, 0x645d0e6f0f082645, {0, 27, 27, 17, 0, 0, 0}},
+       {3, 972, 48, 46, 0xf2f8f56804f47b3c, {2, 19, 25, 10, 0, 0, 0}}}}},
     {"AdaptiveImproved_dstm_wait", "Adaptive-Improved", "dstm", "wait",
-     {{{1, 1190, 48, 47, 0xb0d1819947130e98},
-       {2, 1007, 48, 31, 0x2c4755fb8d667364},
-       {3, 961, 48, 26, 0x2a84c10c4f893d8d}}}},
+     {{{1, 1190, 48, 47, 0xb0d1819947130e98, {0, 17, 33, 4, 3, 3, 0}},
+       {2, 1007, 48, 31, 0x2c4755fb8d667364, {1, 17, 20, 4, 7, 7, 0}},
+       {3, 961, 48, 26, 0x2a84c10c4f893d8d, {1, 12, 17, 1, 4, 4, 0}}}}},
     {"AdaptiveImproved_orec_abort", "Adaptive-Improved", "orec", "abort",
-     {{{1, 1233, 48, 38, 0x06ef28f28280c929},
-       {2, 1254, 48, 39, 0xd9ece88f2636ac3b},
-       {3, 1098, 48, 27, 0x277205d4aa190411}}}},
+     {{{1, 1233, 48, 38, 0x06ef28f28280c929, {4, 31, 0, 5, 0, 0, 1}},
+       {2, 1254, 48, 39, 0xd9ece88f2636ac3b, {5, 31, 0, 7, 0, 0, 2}},
+       {3, 1098, 48, 27, 0x277205d4aa190411, {4, 22, 0, 3, 0, 0, 1}}}}},
     {"AdaptiveImproved_orec_wait", "Adaptive-Improved", "orec", "wait",
-     {{{2, 1378, 48, 32, 0x4ca9962b3404d1c4},
-       {3, 1148, 48, 21, 0x299cc40effa6a3dc},
-       {4, 1396, 48, 31, 0xe62a6d4899011449}}}},
+     {{{2, 1378, 48, 32, 0x4ca9962b3404d1c4, {1, 32, 0, 3, 6, 7, 1}},
+       {3, 1148, 48, 21, 0x299cc40effa6a3dc, {6, 16, 0, 0, 8, 8, 2}},
+       {4, 1396, 48, 31, 0xe62a6d4899011449, {2, 24, 0, 1, 6, 7, 2}}}}},
     {"AdaptiveImprovedDynamic_dstm_abort", "Adaptive-Improved-Dynamic", "dstm", "abort",
-     {{{1, 794, 48, 26, 0x3f0064a06ccd72d4},
-       {2, 871, 48, 33, 0x90f21d7a78e89425},
-       {3, 959, 48, 48, 0xd40e11ec30bede48}}}},
+     {{{1, 794, 48, 26, 0x3f0064a06ccd72d4, {1, 9, 16, 2, 0, 0, 0}},
+       {2, 871, 48, 33, 0x90f21d7a78e89425, {0, 14, 19, 6, 0, 0, 0}},
+       {3, 959, 48, 48, 0xd40e11ec30bede48, {1, 28, 19, 11, 0, 0, 0}}}}},
     {"AdaptiveImprovedDynamic_dstm_wait", "Adaptive-Improved-Dynamic", "dstm", "wait",
-     {{{1, 1009, 48, 36, 0x42c00a0f13db4e4a},
-       {2, 1080, 48, 32, 0x0acb38c59ea42721},
-       {3, 892, 48, 22, 0xffdae4fec8d46239}}}},
+     {{{1, 1009, 48, 36, 0x42c00a0f13db4e4a, {0, 16, 28, 5, 8, 8, 0}},
+       {2, 1080, 48, 32, 0x0acb38c59ea42721, {1, 20, 24, 1, 12, 13, 0}},
+       {3, 892, 48, 22, 0xffdae4fec8d46239, {0, 15, 16, 0, 9, 9, 0}}}}},
     {"AdaptiveImprovedDynamic_orec_abort", "Adaptive-Improved-Dynamic", "orec", "abort",
-     {{{1, 1037, 48, 22, 0x0987563e543efb60},
-       {2, 1263, 48, 36, 0x0d629cc3c64fd952},
-       {3, 1397, 48, 47, 0xeb964f74b8f1c908}}}},
+     {{{1, 1037, 48, 22, 0x0987563e543efb60, {2, 19, 0, 5, 0, 0, 2}},
+       {2, 1263, 48, 36, 0x0d629cc3c64fd952, {3, 29, 0, 5, 0, 0, 3}},
+       {3, 1397, 48, 47, 0xeb964f74b8f1c908, {3, 37, 0, 5, 0, 0, 2}}}}},
     {"AdaptiveImprovedDynamic_orec_wait", "Adaptive-Improved-Dynamic", "orec", "wait",
-     {{{1, 1362, 48, 27, 0x2b9891deecf349de},
-       {2, 1209, 48, 22, 0x9c70ef4e9e771ffa},
-       {3, 1147, 48, 23, 0xe1643eca44169fd7}}}},
+     {{{1, 1362, 48, 27, 0x2b9891deecf349de, {3, 25, 0, 0, 7, 7, 3}},
+       {2, 1209, 48, 22, 0x9c70ef4e9e771ffa, {4, 19, 0, 1, 7, 7, 2}},
+       {3, 1147, 48, 23, 0xe1643eca44169fd7, {4, 20, 0, 1, 6, 6, 1}}}}},
 };
 
 class WindowDecisionPin : public ::testing::TestWithParam<PinnedConfig> {};
@@ -622,6 +655,7 @@ TEST_P(WindowDecisionPin, RunsMatchRecordedDecisions) {
     EXPECT_EQ(r.metrics.commits, want.commits);
     EXPECT_EQ(r.metrics.aborts, want.aborts);
     EXPECT_EQ(hash_decisions(r.schedule.decisions), want.decision_hash);
+    expect_counts(r.metrics, want.counts);
   }
 }
 
