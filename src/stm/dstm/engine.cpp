@@ -80,14 +80,12 @@ bool DstmEngine::commit(ThreadCtx& tc) {
   // this thread's stamps forever.
   struct PendingGuard {
     CommitPending* slot = nullptr;
-    void fire() noexcept {
+    ~PendingGuard() {
       if (slot == nullptr) return;
       slot->desc.store(nullptr, std::memory_order_seq_cst);
       slot->seq.store(slot->seq.load(std::memory_order_relaxed) + 1,
                       std::memory_order_seq_cst);
-      slot = nullptr;
     }
-    ~PendingGuard() { fire(); }
   } pending_guard;
   if (!visible_ && s.wrote) {
     // Deferred stamping (TL2-GV5 adapted to the locator protocol; proof in
@@ -110,38 +108,22 @@ bool DstmEngine::commit(ThreadCtx& tc) {
     // The stamp→CAS window is exactly what the commit-pending rule closes;
     // give the checker a schedule point inside it so exploration (and the
     // seeded stamp_no_pending bug) can stall a writer here.
-    if (rt_.sched_point(check::Point::kCommit) == check::Action::kInjectAbort) {
-      rt_.injected_abort(tc);  // PendingGuard retracts during unwind
-    }
+    rt_.step(tc, check::Point::kCommit);  // PendingGuard retracts during unwind
   }
-  const RuntimeConfig::DebugFaults& bugs = rt_.config_.bugs;
-  if (bugs.blind_commit) [[unlikely]] {
+  if (rt_.config_.bugs.blind_commit) [[unlikely]] {
     // SEEDED BUG: a plain store cannot detect a remote kill that landed
     // between the last open and here — the enemy already proceeded on our
     // old version, so "committing" anyway loses the update.
     desc->status.store(TxStatus::kCommitted, std::memory_order_seq_cst);
-    pending_guard.fire();
-    // SEEDED BUG (park-lost-wakeup): drop the commit-path unpark edge.
-    if (!bugs.park_lost_wakeup) rt_.signal_status_change(&tc, desc);
-    return true;
+    return true;  // PendingGuard retracts on return
   }
   TxStatus expected = TxStatus::kActive;
-  const bool committed = desc->status.compare_exchange_strong(
-      expected, TxStatus::kCommitted, std::memory_order_seq_cst);
-  // Retract promptly (a lost CAS retracts too — the spurious sequence bump
-  // at worst costs somebody one establishment retry).
-  pending_guard.fire();
-  // Commit is a status transition: waiters parked on this descriptor must
-  // wake. The seeded park-lost-wakeup bug elides exactly this edge (the
-  // abort-path edges stay), turning a missed commit notification into
-  // bounded timeout stalls in real mode and a detected violation under the
-  // checker. A lost CAS means a remote killer owns the transition — and the
-  // unpark — instead.
-  if (committed && !bugs.park_lost_wakeup) [[likely]] {
-    rt_.signal_status_change(&tc, desc);
-  }
   // false: killed by an enemy between the last open and the commit point.
-  return committed;
+  // Either way PendingGuard retracts on return (a lost CAS retracts too —
+  // the spurious sequence bump at worst costs somebody one establishment
+  // retry).
+  return desc->status.compare_exchange_strong(expected, TxStatus::kCommitted,
+                                              std::memory_order_seq_cst);
 }
 
 const void* DstmEngine::open_read(ThreadCtx& tc, TObjectBase& obj) {
@@ -162,9 +144,7 @@ const void* DstmEngine::open_read_visible(ThreadCtx& tc, SlotState& s, TObjectBa
   }
 
   for (;;) {
-    if (rt_.sched_point(check::Point::kRead, &obj) == check::Action::kInjectAbort) {
-      rt_.injected_abort(tc);
-    }
+    rt_.step(tc, check::Point::kRead, &obj);
     rt_.ensure_alive(tc);
     Locator* l = obj.loc_.load(std::memory_order_seq_cst);
     TxDesc* owner = l->owner;
@@ -180,38 +160,24 @@ const void* DstmEngine::open_read_visible(ThreadCtx& tc, SlotState& s, TObjectBa
       // acquire status load above orders that kill before this check), so
       // an attempt still active here holds a consistent view.
       rt_.ensure_alive(tc);
-      rt_.manager_->on_open(tc, *me);
       return st == TxStatus::kCommitted ? l->new_version : l->old_version;
     }
-    // Active enemy writer.
-    tc.metrics_.rw_conflicts++;
-    rt_.note_conflict(tc, *owner);
-    const Resolution res = rt_.arbitrate(tc, *me, *owner, ConflictKind::kReadWrite);
-    rt_.trace_conflict(tc, *owner, ConflictKind::kReadWrite, res);
-    if (res == Resolution::kAbortEnemy) {
-      // Loop re-reads; even if the enemy committed we proceed. The kill is
-      // a status transition, so fire its unpark edge.
-      if (owner->try_abort()) rt_.signal_status_change(&tc, owner);
-    } else if (res == Resolution::kAbortSelf) {
-      rt_.abort_self(tc);
-    } else {
-      tc.waited_this_attempt_ = true;  // kRetry after an internal wait
-    }
+    // Active enemy writer. The loop re-reads whatever the manager decided;
+    // even if a killed enemy committed first we proceed.
+    rt_.contend(tc, *owner, ConflictKind::kReadWrite);
   }
 }
 
 const void* DstmEngine::open_read_invisible(ThreadCtx& tc, SlotState& s, TObjectBase& obj) {
   TxDesc* me = tc.current_;
   for (;;) {
-    if (rt_.sched_point(check::Point::kRead, &obj) == check::Action::kInjectAbort) {
-      rt_.injected_abort(tc);
-    }
+    rt_.step(tc, check::Point::kRead, &obj);
     rt_.ensure_alive(tc);
     Locator* l = obj.loc_.load(std::memory_order_seq_cst);
     TxDesc* owner = l->owner;
     const void* version = nullptr;
     // Resolved status of a foreign owner (only consulted then); kActive
-    // never reaches the validation below — it is arbitrated away first.
+    // never reaches the validation below — it is contended away first.
     TxStatus owner_st = TxStatus::kCommitted;
     if (owner == nullptr || owner == me) {
       version = l->new_version;
@@ -225,17 +191,7 @@ const void* DstmEngine::open_read_invisible(ThreadCtx& tc, SlotState& s, TObject
       } else {
         // Eager conflict with an active writer, same arbitration as the
         // visible path.
-        tc.metrics_.rw_conflicts++;
-        rt_.note_conflict(tc, *owner);
-        const Resolution res = rt_.arbitrate(tc, *me, *owner, ConflictKind::kReadWrite);
-        rt_.trace_conflict(tc, *owner, ConflictKind::kReadWrite, res);
-        if (res == Resolution::kAbortEnemy) {
-          if (owner->try_abort()) rt_.signal_status_change(&tc, owner);
-        } else if (res == Resolution::kAbortSelf) {
-          rt_.abort_self(tc);
-        } else {
-          tc.waited_this_attempt_ = true;
-        }
+        rt_.contend(tc, *owner, ConflictKind::kReadWrite);
         continue;
       }
     }
@@ -249,9 +205,7 @@ const void* DstmEngine::open_read_invisible(ThreadCtx& tc, SlotState& s, TObject
     // Schedule point inside the validate→recheck window: this is the exact
     // preemption the recheck below exists to survive, so the checker must be
     // able to interleave a writer here.
-    if (rt_.sched_point(check::Point::kRead, &obj) == check::Action::kInjectAbort) {
-      rt_.injected_abort(tc);
-    }
+    rt_.step(tc, check::Point::kRead, &obj);
     // SEEDED BUG (skip_cas_recheck): dropping the locator recheck lets a
     // writer slip between the validation above and our use of `version`,
     // so the read set is no longer a snapshot of one instant.
@@ -289,7 +243,6 @@ const void* DstmEngine::open_read_invisible(ThreadCtx& tc, SlotState& s, TObject
         s.invis_reads.push_back({&obj, version});
       }
     }
-    rt_.manager_->on_open(tc, *me);
     return version;
   }
 }
@@ -475,16 +428,11 @@ void* DstmEngine::open_write(ThreadCtx& tc, TObjectBase& obj) {
   TxDesc* me = tc.current_;
 
   for (;;) {
-    if (rt_.sched_point(check::Point::kWrite, &obj) == check::Action::kInjectAbort) {
-      rt_.injected_abort(tc);
-    }
+    rt_.step(tc, check::Point::kWrite, &obj);
     rt_.ensure_alive(tc);
     Locator* l = obj.loc_.load(std::memory_order_seq_cst);
     TxDesc* owner = l->owner;
-    if (owner == me) {
-      rt_.manager_->on_open(tc, *me);
-      return l->new_version;  // already acquired in this attempt
-    }
+    if (owner == me) return l->new_version;  // already acquired in this attempt
 
     void* current = nullptr;
     void* dead = nullptr;
@@ -504,17 +452,7 @@ void* DstmEngine::open_write(ThreadCtx& tc, TObjectBase& obj) {
         current = l->old_version;
         dead = l->new_version;
       } else {
-        tc.metrics_.ww_conflicts++;
-        rt_.note_conflict(tc, *owner);
-        const Resolution res = rt_.arbitrate(tc, *me, *owner, ConflictKind::kWriteWrite);
-        rt_.trace_conflict(tc, *owner, ConflictKind::kWriteWrite, res);
-        if (res == Resolution::kAbortEnemy) {
-          if (owner->try_abort()) rt_.signal_status_change(&tc, owner);
-        } else if (res == Resolution::kAbortSelf) {
-          rt_.abort_self(tc);
-        } else {
-          tc.waited_this_attempt_ = true;
-        }
+        rt_.contend(tc, *owner, ConflictKind::kWriteWrite);
         continue;
       }
     }
@@ -553,7 +491,6 @@ void* DstmEngine::open_write(ThreadCtx& tc, TObjectBase& obj) {
         // the producer of the base version.
         validate_or_extend(tc, s, owner, prev_st);
       }
-      rt_.manager_->on_open(tc, *me);
       return fresh->new_version;
     }
     // Lost the install race; roll back the speculative locator.
@@ -578,23 +515,12 @@ void DstmEngine::resolve_readers(ThreadCtx& tc, TObjectBase& obj) {
       bits &= bits - 1;
       const unsigned slot = ReaderStripes::slot_at(stripe, bit);
       for (;;) {
-        if (rt_.sched_point(check::Point::kReaderResolve, &obj) ==
-            check::Action::kInjectAbort) {
-          rt_.injected_abort(tc);
-        }
+        rt_.step(tc, check::Point::kReaderResolve, &obj);
         rt_.ensure_alive(tc);
         TxDesc* enemy = rt_.tx_of_slot(slot);
         if (enemy == nullptr || enemy == me || !enemy->is_active()) break;
-        tc.metrics_.wr_conflicts++;
-        rt_.note_conflict(tc, *enemy);
-        const Resolution res = rt_.arbitrate(tc, *me, *enemy, ConflictKind::kWriteRead);
-        rt_.trace_conflict(tc, *enemy, ConflictKind::kWriteRead, res);
-        if (res == Resolution::kAbortEnemy) {
-          if (enemy->try_abort()) rt_.signal_status_change(&tc, enemy);
-          break;
-        }
-        if (res == Resolution::kAbortSelf) rt_.abort_self(tc);
-        tc.waited_this_attempt_ = true;  // kRetry: re-examine this reader
+        // A killed reader is done; kRetry re-examines it.
+        if (rt_.contend(tc, *enemy, ConflictKind::kWriteRead) == Resolution::kAbortEnemy) break;
       }
     }
   }

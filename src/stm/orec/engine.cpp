@@ -75,9 +75,7 @@ const void* OrecEngine::read_consistent(ThreadCtx& tc, TObjectBase& obj,
                                         ConflictKind kind, std::uint64_t& word_out) {
   TxDesc* me = tc.current_;
   for (;;) {
-    if (rt_.sched_point(point, &obj) == check::Action::kInjectAbort) {
-      rt_.injected_abort(tc);
-    }
+    rt_.step(tc, point, &obj);
     rt_.ensure_alive(tc);
     const std::uint64_t w1 = orec.load(std::memory_order_seq_cst);
     if (OrecTable::locked(w1)) {
@@ -100,23 +98,8 @@ const void* OrecEngine::read_consistent(ThreadCtx& tc, TObjectBase& obj,
         // the schedule point above keeps the checker's executor live.
         continue;
       }
-      if (kind == ConflictKind::kWriteWrite) {
-        tc.metrics_.ww_conflicts++;
-      } else {
-        tc.metrics_.rw_conflicts++;
-      }
-      rt_.note_conflict(tc, *owner);
-      const Resolution res = rt_.arbitrate(tc, *me, *owner, kind);
-      rt_.trace_conflict(tc, *owner, kind, res);
-      if (res == Resolution::kAbortEnemy) {
-        // Loop re-reads; the rollback restores the word. The kill is a
-        // status transition, so fire its unpark edge.
-        if (owner->try_abort()) rt_.signal_status_change(&tc, owner);
-      } else if (res == Resolution::kAbortSelf) {
-        rt_.abort_self(tc);
-      } else {
-        tc.waited_this_attempt_ = true;
-      }
+      // Loop re-reads; a killed owner's rollback restores the word.
+      rt_.contend(tc, *owner, kind);
       continue;
     }
     const void* payload = committed_body(obj);
@@ -163,7 +146,7 @@ void OrecEngine::record_read(ThreadCtx& tc, std::atomic<std::uint64_t>& orec,
     // Objects sharing this orec were read under one version. A mismatch is
     // unreachable while (V) holds — any version move past the recorded word
     // either trips the rv check (extend revalidates this entry) or shows a
-    // lock (arbitrated) — so it is defense in depth: abort, don't assert.
+    // lock (contended) — so it is defense in depth: abort, don't assert.
     if (lg.reads[idx].seen != word) rt_.abort_self(tc);
     tc.metrics_.dup_reads++;
     return;
@@ -194,10 +177,7 @@ void OrecEngine::validate_read_set(ThreadCtx& tc) {
   tc.metrics_.validated_reads += lg.reads.size();
   for (const ReadEntry& r : lg.reads) {
     for (;;) {
-      if (rt_.sched_point(check::Point::kOrecValidate, r.orec) ==
-          check::Action::kInjectAbort) {
-        rt_.injected_abort(tc);
-      }
+      rt_.step(tc, check::Point::kOrecValidate, r.orec);
       rt_.ensure_alive(tc);
       const std::uint64_t w = r.orec->load(std::memory_order_seq_cst);
       if (w == r.seen) break;
@@ -215,18 +195,8 @@ void OrecEngine::validate_read_set(ThreadCtx& tc) {
       const TxStatus st = owner->status.load(std::memory_order_acquire);
       if (st != TxStatus::kActive) continue;  // releasing/restoring; re-read
       // An active committer holds a lock over something we read — the same
-      // read-write conflict the open path arbitrates.
-      tc.metrics_.rw_conflicts++;
-      rt_.note_conflict(tc, *owner);
-      const Resolution res = rt_.arbitrate(tc, *me, *owner, ConflictKind::kReadWrite);
-      rt_.trace_conflict(tc, *owner, ConflictKind::kReadWrite, res);
-      if (res == Resolution::kAbortEnemy) {
-        if (owner->try_abort()) rt_.signal_status_change(&tc, owner);
-      } else if (res == Resolution::kAbortSelf) {
-        rt_.abort_self(tc);
-      } else {
-        tc.waited_this_attempt_ = true;
-      }
+      // read-write conflict the open path contends.
+      rt_.contend(tc, *owner, ConflictKind::kReadWrite);
     }
   }
 }
@@ -256,13 +226,9 @@ std::uint64_t OrecEngine::saved_word_of(const TxLogs& lg,
 
 const void* OrecEngine::open_read(ThreadCtx& tc, TObjectBase& obj) {
   TxLogs& lg = logs(tc);
-  TxDesc* me = tc.current_;
   // Read-own-writes: the redo clone is this attempt's view of the object.
   const std::uint32_t widx = lg.write_index.find(&obj);
-  if (widx != InvisReadIndex::kNotFound) {
-    rt_.manager_->on_open(tc, *me);
-    return lg.writes[widx].clone;
-  }
+  if (widx != InvisReadIndex::kNotFound) return lg.writes[widx].clone;
   std::atomic<std::uint64_t>& orec = orec_of(obj);
   std::uint64_t word = 0;
   const void* payload =
@@ -276,18 +242,13 @@ const void* OrecEngine::open_read(ThreadCtx& tc, TObjectBase& obj) {
     rt_.config_.checker->on_opacity_violation(
         "orec open_read returned a payload superseded before return");
   }
-  rt_.manager_->on_open(tc, *me);
   return payload;
 }
 
 void* OrecEngine::open_write(ThreadCtx& tc, TObjectBase& obj) {
   TxLogs& lg = logs(tc);
-  TxDesc* me = tc.current_;
   const std::uint32_t widx = lg.write_index.find(&obj);
-  if (widx != InvisReadIndex::kNotFound) {
-    rt_.manager_->on_open(tc, *me);
-    return lg.writes[widx].clone;
-  }
+  if (widx != InvisReadIndex::kNotFound) return lg.writes[widx].clone;
   // Lazy acquisition: snapshot a consistent base (recorded as a read — the
   // commit-time validation then proves the clone was derived from the
   // still-current version), buffer a private clone, lock nothing yet.
@@ -299,7 +260,6 @@ void* OrecEngine::open_write(ThreadCtx& tc, TObjectBase& obj) {
   void* clone = obj.make_clone(tc.pool_, base);
   lg.write_index.insert(&obj, static_cast<std::uint32_t>(lg.writes.size()));
   lg.writes.push_back({&obj, &orec, clone});
-  rt_.manager_->on_open(tc, *me);
   return clone;
 }
 
@@ -324,15 +284,13 @@ void OrecEngine::acquire_locks(ThreadCtx& tc) {
     if (&orec == prev) continue;
     prev = &orec;
     for (;;) {
-      if (rt_.sched_point(check::Point::kOrecLock, lg.writes[idx].obj) ==
-          check::Action::kInjectAbort) {
-        rt_.injected_abort(tc);  // end() releases whatever is already held
-      }
+      // An injected abort unwinds here; end() releases whatever is held.
+      rt_.step(tc, check::Point::kOrecLock, lg.writes[idx].obj);
       rt_.ensure_alive(tc);
       std::uint64_t w = orec.load(std::memory_order_seq_cst);
       if (!OrecTable::locked(w)) {
         // One CAS is both acquisition and owner publication: losers always
-        // see who beat them, so there is an enemy to arbitrate against.
+        // see who beat them, so there is an enemy to contend with.
         if (orec.compare_exchange_strong(w, OrecTable::pack_owner(me),
                                          std::memory_order_seq_cst)) {
           lg.locks.push_back({&orec, w});
@@ -347,26 +305,15 @@ void OrecEngine::acquire_locks(ThreadCtx& tc) {
       if (owner == me) break;
       const TxStatus st = owner->status.load(std::memory_order_acquire);
       if (st != TxStatus::kActive) continue;  // releasing/restoring; re-read
-      // Commit-time write-write conflict. arbitrate() keeps the liveness
-      // contract intact here: an irrevocable self short-circuits to
+      // Commit-time write-write conflict. Runtime::contend keeps the
+      // liveness contract intact here: an irrevocable self short-circuits to
       // kAbortEnemy (lock "stealing" happens only by killing the holder,
       // which try_abort refuses for irrevocable enemies), and an
       // irrevocable enemy short-circuits to kRetry — so the serial-fallback
       // token holder's locks can never be stolen and it never waits forever.
-      tc.metrics_.ww_conflicts++;
+      // A killed holder's rollback restores the word; the loop re-reads.
       tc.metrics_.orec_lock_waits++;
-      rt_.note_conflict(tc, *owner);
-      const Resolution res = rt_.arbitrate(tc, *me, *owner, ConflictKind::kWriteWrite);
-      rt_.trace_conflict(tc, *owner, ConflictKind::kWriteWrite, res);
-      if (res == Resolution::kAbortEnemy) {
-        // Its rollback restores the word; loop re-reads. Fire the unpark
-        // edge for waiters parked on the killed holder.
-        if (owner->try_abort()) rt_.signal_status_change(&tc, owner);
-      } else if (res == Resolution::kAbortSelf) {
-        rt_.abort_self(tc);
-      } else {
-        tc.waited_this_attempt_ = true;
-      }
+      rt_.contend(tc, *owner, ConflictKind::kWriteWrite);
     }
   }
 }
@@ -387,11 +334,8 @@ bool OrecEngine::commit(ThreadCtx& tc) {
     // Published (by the liveness layer at begin): the status CAS is
     // required — a remote kill must not be reported as a commit.
     TxStatus expected = TxStatus::kActive;
-    const bool won = me->status.compare_exchange_strong(expected, TxStatus::kCommitted,
-                                                        std::memory_order_seq_cst);
-    // SEEDED BUG (park-lost-wakeup): the elided edge is the commit one.
-    if (won && !rt_.config_.bugs.park_lost_wakeup) rt_.signal_status_change(&tc, me);
-    return won;
+    return me->status.compare_exchange_strong(expected, TxStatus::kCommitted,
+                                              std::memory_order_seq_cst);
   }
   acquire_locks(tc);
   if (rt_.config_.bugs.orec_skip_validation) [[unlikely]] {
@@ -422,11 +366,9 @@ bool OrecEngine::commit(ThreadCtx& tc) {
                                           std::memory_order_seq_cst)) {
     return false;  // remote kill between the last open and here; end() unlocks
   }
+  // Runtime::finish_attempt_commit fires the unpark edge after this
+  // write-back: waiters waking into still-locked orecs would only spin.
   writeback_and_release(tc, wv);
-  // Unpark after write-back, not right at the status CAS: waiters waking
-  // into still-locked orecs would only spin on the releasing owner. The
-  // seeded park-lost-wakeup bug elides exactly this commit-path edge.
-  if (!rt_.config_.bugs.park_lost_wakeup) rt_.signal_status_change(&tc, me);
   return true;
 }
 
