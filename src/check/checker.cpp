@@ -150,10 +150,12 @@ RunResult Checker::run_with_policy(Policy& policy, const CheckConfig& cfg) {
   params.window_n = cfg.window_n;
   params.requester_waits = rtc.arbitration == stm::ArbitrationMode::kWait;
 
-  // Destruction order matters: the Runtime must die before the set (its EBR
-  // drain frees retired nodes the set no longer owns) and before the
-  // executor/recorder it holds pointers into.
+  // Destruction order matters: the Runtime must die before the
+  // executor/recorder it holds pointers into. It frees every committed node
+  // at teardown, including those a seeded bug's lost update orphans, so the
+  // set frees none.
   auto set = structs::make_intset(cfg.structure);
+  set->disown_nodes();
   stm::Runtime rt(cm::make_manager(cfg.cm, params), rtc);
 
   std::uint64_t initial = 0;

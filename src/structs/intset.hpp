@@ -29,6 +29,14 @@ class TxIntSet {
   virtual std::vector<long> quiescent_elements() const = 0;
 
   virtual std::string kind() const = 0;
+
+  /// Leaves the nodes to the runtime: the destructor then frees none. A
+  /// runtime under the deterministic checker frees every committed node
+  /// itself, including those a seeded bug's lost update orphans.
+  void disown_nodes() noexcept { owns_nodes_ = false; }
+
+ protected:
+  bool owns_nodes_ = true;
 };
 
 /// Factory: kind is "list", "rbtree", "skiplist" or "hashtable" (extension).

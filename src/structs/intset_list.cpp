@@ -6,6 +6,7 @@ IntSetList::IntSetList() : head_(NodeData{LONG_MIN, nullptr}) {}
 
 IntSetList::~IntSetList() {
   // Quiescent teardown: walk the committed chain and free every node.
+  if (!owns_nodes_) return;
   const auto* hd = head_.peek();
   Node* n = hd->next;
   while (n != nullptr) {

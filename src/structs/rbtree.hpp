@@ -28,9 +28,14 @@ template <typename V>
 class RBMapT {
  public:
   RBMapT() : root_(RootData{}) {}
-  ~RBMapT() { free_subtree(root_.peek()->root); }
+  ~RBMapT() {
+    if (owns_nodes) free_subtree(root_.peek()->root);
+  }
   RBMapT(const RBMapT&) = delete;
   RBMapT& operator=(const RBMapT&) = delete;
+
+  /// False when a checker's runtime frees the nodes (TxIntSet::disown_nodes).
+  bool owns_nodes = true;
 
   /// Inserts key->value; returns false (and changes nothing) if present.
   bool insert(stm::Tx& tx, long key, V value);
@@ -108,6 +113,7 @@ using RBMap = RBMapT<long>;
 /// TxIntSet adapter over RBMap (value = key).
 class RBTreeSet final : public TxIntSet {
  public:
+  ~RBTreeSet() override { map_.owns_nodes = owns_nodes_; }
   bool insert(stm::Tx& tx, long key) override { return map_.insert(tx, key, key); }
   bool remove(stm::Tx& tx, long key) override { return map_.erase(tx, key); }
   bool contains(stm::Tx& tx, long key) override { return map_.contains(tx, key); }

@@ -5,6 +5,7 @@ namespace wstm::structs {
 SkipList::SkipList() : head_(NodeData{}) {}
 
 SkipList::~SkipList() {
+  if (!owns_nodes_) return;
   const NodeData* hd = head_.peek();
   Node* n = hd->next[0];
   while (n != nullptr) {
