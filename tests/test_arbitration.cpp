@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -188,33 +189,59 @@ struct Cell {
   long value = 0;
 };
 
+// Forwards every call to Greedy and flags the first resolve() that returns
+// kRetry. In wait mode Greedy parks on the enemy before it returns kRetry,
+// so once the flag is up the loser has provably parked.
+class RetryFlagGreedy final : public cm::ContentionManager {
+ public:
+  RetryFlagGreedy() : inner_(cm::make_manager("Greedy", cm::Params{})) {}
+
+  /// Hands the Runtime's wait verb to Greedy (attach_* are not virtual).
+  void forward_hooks() noexcept {
+    inner_->attach_recorder(recorder_);
+    inner_->attach_wait_hooks(waiter_);
+  }
+
+  std::string name() const override { return inner_->name(); }
+  stm::Resolution resolve(stm::ThreadCtx& self, stm::TxDesc& tx, stm::TxDesc& enemy,
+                          stm::ConflictKind kind) override {
+    const stm::Resolution r = inner_->resolve(self, tx, enemy, kind);
+    if (r == stm::Resolution::kRetry) retried.store(true, std::memory_order_release);
+    return r;
+  }
+
+  std::atomic<bool> retried{false};
+
+ private:
+  cm::ManagerPtr inner_;
+};
+
 // Two real threads under Greedy in wait mode: the older transaction holds
-// the only object for several milliseconds; the younger one conflicts,
-// loses (Greedy: older wins), and must *park* on the older descriptor
-// instead of burning the wait on yields — its parks counter advances and
-// the total parked time is of the same order as the hold. The older
-// commit's unpark edge (or the slice timeout) wakes it and it commits.
+// the only object until the younger one has lost to it (Greedy: older wins)
+// and *parked* on the older descriptor instead of burning the wait on
+// yields. No fixed hold time: the older commits once the younger's manager
+// has returned kRetry, which it does only after a park. The older commit's
+// unpark edge wakes the younger, and it commits.
 TEST(ArbitrationReal, YoungerGreedyTransactionParksUntilOlderCommits) {
   stm::RuntimeConfig cfg;
   cfg.arbitration = stm::ArbitrationMode::kWait;
-  stm::Runtime rt(cm::make_manager("Greedy", cm::Params{}), cfg);
+  auto manager = std::make_unique<RetryFlagGreedy>();
+  RetryFlagGreedy* probe = manager.get();
+  stm::Runtime rt(std::move(manager), cfg);
+  probe->forward_hooks();
   stm::TObject<Cell> cell(Cell{0});
 
   std::atomic<bool> older_opened{false};
-  std::atomic<bool> younger_started{false};
   std::thread older([&] {
     stm::ThreadCtx& tc = rt.attach_thread();
     rt.atomically(tc, [&](stm::Tx& tx) {
       cell.open_write(tx)->value += 1;
       older_opened.store(true, std::memory_order_release);
-      // Hold the object long enough that the younger thread's 50 us Greedy
-      // park slices must fire many times over.
-      const std::int64_t until = now_ns() + 5'000'000;
-      while (now_ns() < until && !younger_started.load(std::memory_order_acquire)) {
+      // Bounded only against a hang; the test never relies on it expiring.
+      const std::int64_t give_up = now_ns() + 30'000'000'000;
+      while (!probe->retried.load(std::memory_order_acquire) && now_ns() < give_up) {
         std::this_thread::yield();
       }
-      const std::int64_t tail = now_ns() + 3'000'000;
-      while (now_ns() < tail) std::this_thread::yield();
     });
   });
 
@@ -223,7 +250,6 @@ TEST(ArbitrationReal, YoungerGreedyTransactionParksUntilOlderCommits) {
   std::thread younger([&] {
     stm::ThreadCtx& tc = rt.attach_thread();
     while (!older_opened.load(std::memory_order_acquire)) std::this_thread::yield();
-    younger_started.store(true, std::memory_order_release);
     rt.atomically(tc, [&](stm::Tx& tx) { cell.open_write(tx)->value += 10; });
     younger_parks = tc.metrics().parks;
     younger_park_ns = tc.metrics().park_ns;
@@ -231,6 +257,7 @@ TEST(ArbitrationReal, YoungerGreedyTransactionParksUntilOlderCommits) {
   older.join();
   younger.join();
 
+  EXPECT_TRUE(probe->retried.load()) << "the younger transaction never lost to the older";
   EXPECT_EQ(cell.peek()->value, 11);
   EXPECT_GT(younger_parks, 0u) << "the losing transaction never parked";
   EXPECT_GT(younger_park_ns, 0u);
@@ -259,18 +286,19 @@ TEST(ArbitrationReal, AbortModeNeverParks) {
   EXPECT_EQ(totals.unparks, 0u);
 }
 
-// Starvation ladder under requester-waits: one long writer that keeps
-// losing to three short writers, in wait mode under Polka (karma ties go to
-// the requester, so the long writer is slaughtered just like in abort mode,
-// while karma *asymmetry* among the short writers produces real parks). The
-// escalation ladder must still walk the starved writer to the irrevocable
-// serial token — a parked transaction is invisible to the watchdog's
-// *stall* detector (Beacon.parked) but its abort storm is not, and a
-// serial-token holder never parks, so the ladder terminates. Exact counts
-// and the single-holder token invariant must survive parking.
+// Starvation ladder under requester-waits: one long writer against three
+// short writers, in wait mode under Polka. Each long attempt holds the
+// shared object until a short writer kills it (a short writer with less
+// karma parks its Polka slices first, so real parks happen), unless the
+// ladder has boosted it; no fixed hold time, so the starvation does not
+// depend on how the host schedules the threads. The escalation ladder must
+// still walk the starved writer to the serial-token level — a parked
+// transaction is invisible to the watchdog's *stall* detector
+// (Beacon.parked) but its abort storm is not, and a serial-token holder
+// never parks, so the ladder terminates. Exact counts and the single-holder
+// token invariant must survive parking.
 TEST(ArbitrationReal, ParkedLowPriorityClimbsLadderToIrrevocability) {
-  constexpr int kMinLongCommits = 4;
-  constexpr int kMaxLongCommits = 80;
+  constexpr int kLongTxs = 4;
   constexpr unsigned kShortThreads = 3;
 
   cm::Params params;
@@ -295,9 +323,6 @@ TEST(ArbitrationReal, ParkedLowPriorityClimbsLadderToIrrevocability) {
   constexpr long kBig = 1'000'000'000;
   std::atomic<bool> stop_short{false};
   std::atomic<long> short_total{0};
-  // Per-thread metrics are owner-written, so the long writer learns of the
-  // short writers' parks through this flag rather than total_metrics().
-  std::atomic<bool> short_parked{false};
   std::vector<std::thread> shorts;
   for (unsigned t = 0; t < kShortThreads; ++t) {
     shorts.emplace_back([&] {
@@ -305,41 +330,41 @@ TEST(ArbitrationReal, ParkedLowPriorityClimbsLadderToIrrevocability) {
       while (!stop_short.load(std::memory_order_acquire)) {
         rt.atomically(tc, [&](stm::Tx& tx) { counter.open_write(tx)->value += 1; });
         short_total.fetch_add(1, std::memory_order_acq_rel);
-        if (tc.metrics().parks > 0) short_parked.store(true, std::memory_order_relaxed);
       }
-      });
+    });
   }
 
-  int long_commits = 0;
+  stm::ThreadMetrics long_metrics;
   {
     stm::ThreadCtx& tc = rt.attach_thread();
-    while (long_commits < kMaxLongCommits) {
+    for (int i = 0; i < kLongTxs; ++i) {
       rt.atomically(tc, [&](stm::Tx& tx) {
         Cell* c = counter.open_write(tx);
-        for (int s = 0; s < 60; ++s) {  // ~300 us held, yielding throughout
-          const std::int64_t until = now_ns() + 5'000;
-          while (now_ns() < until) {
-          }
+        // A boosted attempt (level >= 2, the serial-token level included)
+        // wins its conflicts, so it stops waiting to be killed. Bounded
+        // only against a hang.
+        const stm::TxDesc& me = tx.desc();
+        const std::int64_t give_up = now_ns() + 30'000'000'000;
+        while (me.is_active() && me.boost.load(std::memory_order_relaxed) == 0 &&
+               now_ns() < give_up) {
           std::this_thread::yield();
         }
         c->value += kBig;
       });
-      ++long_commits;
-      if (long_commits >= kMinLongCommits && tc.metrics().serial_fallbacks > 0 &&
-          (tc.metrics().parks > 0 || short_parked.load(std::memory_order_relaxed))) {
-        break;
-      }
     }
+    long_metrics = tc.metrics();
     stop_short.store(true, std::memory_order_release);
   }
   for (auto& w : shorts) w.join();
 
   const long final_value = counter.peek()->value;
-  EXPECT_EQ(final_value / kBig, long_commits) << "long-writer commits lost";
+  EXPECT_EQ(final_value / kBig, kLongTxs) << "long-writer commits lost";
   EXPECT_EQ(final_value % kBig, short_total.load()) << "short-writer commits lost";
 
+  EXPECT_GE(long_metrics.escalations, 4u * kLongTxs) << "ladder never engaged";
+  // The starved writer reaches the serial-token level in every logical
+  // transaction; the token is then its own, or another thread holds it.
   const stm::ThreadMetrics totals = rt.total_metrics();
-  EXPECT_GT(totals.escalations, 0u) << "ladder never engaged";
   EXPECT_GT(totals.serial_fallbacks, 0u)
       << "starved writer never reached the irrevocable level under parking";
   EXPECT_GT(totals.parks, 0u) << "the run never actually parked";

@@ -6,11 +6,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "check/executor.hpp"
+#include "check/policy.hpp"
 #include "cm/registry.hpp"
 #include "harness/runner.hpp"
 #include "harness/workload.hpp"
@@ -144,88 +147,83 @@ INSTANTIATE_TEST_SUITE_P(CMs, StarvationCMs, ::testing::Values("Polka", "Adaptiv
                          [](const auto& info) { return info.param; });
 
 TEST_P(StarvationCMs, LongWriterClimbsLadderAndCommits) {
-  // One long writer (holds the shared object while yielding, so it keeps
-  // losing to quick enemies — the yields matter on single-core hosts, where
-  // a pure busy-spin would never let the enemies run at all) against three
-  // short writers hammering the same object. The liveness layer must walk
-  // it up the ladder to the irrevocable token; the run must stay exact (no
-  // lost updates) and the token single-holder. boost_after == serial_after
-  // on purpose: a *working* boost level heals the storm before the token is
-  // ever needed, so reaching the token in-test requires jumping over it
-  // (the boost itself is still applied at level 3).
-  constexpr int kMinLongCommits = 6;
-  constexpr int kMaxLongCommits = 80;
+  // One long writer (holds the shared object across kPadReads further
+  // opens, so it keeps losing to quick enemies) against three short writers
+  // hammering the same object. The liveness layer must walk it up the
+  // ladder to the irrevocable token; the run must stay exact (no lost
+  // updates) and the token single-holder. boost_after == serial_after on
+  // purpose: a *working* boost level heals the storm before the token is
+  // ever needed, so reaching the token requires jumping over it (the boost
+  // itself is still applied at level 3). The threads run on the checker's
+  // VirtualExecutor, so each policy seed fixes the whole interleaving and
+  // the outcome does not depend on how the host schedules the threads.
   constexpr unsigned kShortThreads = 3;
+  constexpr int kLongTxs = 6;
+  constexpr int kShortTxs = 30;
+  constexpr int kPadReads = 8;
+  constexpr long kBig = 1'000'000;  // long-writer increments, > any short total
 
-  cm::Params params;
-  params.threads = kShortThreads + 1;
-  params.window_n = 8;
-  stm::RuntimeConfig cfg;
-  cfg.liveness.enabled = true;
-  cfg.liveness.backoff_after = 1;
-  cfg.liveness.boost_after = 4;
-  cfg.liveness.serial_after = 4;
-  cfg.liveness.backoff_base_us = 1;
-  cfg.liveness.backoff_cap_us = 20;
-  cfg.liveness.deadline_ns = 60'000'000'000;  // generous: never expected to fire
-  cfg.liveness.watchdog_period_ns = 100'000;
-  cfg.liveness.stall_timeout_ns = 2'000'000'000;  // no stall kicks in this test
-  cfg.liveness.storm_threshold = 2;
-  Runtime rt(cm::make_manager(GetParam(), params), cfg);
-  TObject<Cell> counter(Cell{0});
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE("policy seed " + std::to_string(seed));
+    check::RandomWalkPolicy policy(seed, check::FaultOptions{});
+    check::VirtualExecutor exec(kShortThreads + 1, policy, /*max_steps=*/100'000,
+                                /*tick_ns=*/1000);
+    cm::Params params;
+    params.threads = kShortThreads + 1;
+    params.window_n = 8;
+    stm::RuntimeConfig cfg;
+    cfg.checker = &exec;
+    cfg.liveness.enabled = true;
+    cfg.liveness.backoff_after = 1;
+    cfg.liveness.boost_after = 4;
+    cfg.liveness.serial_after = 4;
+    // The executor owns time: no backoff sleeps, and no wall deadline on
+    // its virtual clock.
+    cfg.liveness.backoff_base_us = 0;
+    cfg.liveness.deadline_ns = 0;
+    Runtime rt(cm::make_manager(GetParam(), params), cfg);
+    TObject<Cell> counter(Cell{0});
+    std::vector<std::unique_ptr<TObject<Cell>>> pad;
+    for (int i = 0; i < kPadReads; ++i) pad.push_back(std::make_unique<TObject<Cell>>(Cell{0}));
 
-  constexpr long kBig = 1'000'000'000;  // long-writer increments, > any short total
-  std::atomic<bool> stop_short{false};
-  std::atomic<long> short_total{0};
-  std::vector<std::thread> shorts;
-  for (unsigned t = 0; t < kShortThreads; ++t) {
-    shorts.emplace_back([&] {
-      // Sustained contention for the whole long-writer run.
+    stm::ThreadMetrics long_metrics;
+    std::vector<std::thread> threads;
+    threads.emplace_back([&] {
+      exec.register_thread(0);
       ThreadCtx& tc = rt.attach_thread();
-      while (!stop_short.load(std::memory_order_acquire)) {
-        rt.atomically(tc, [&](Tx& tx) { counter.open_write(tx)->value += 1; });
-        short_total.fetch_add(1, std::memory_order_acq_rel);
+      for (int i = 0; i < kLongTxs; ++i) {
+        rt.atomically(tc, [&](Tx& tx) {
+          Cell* c = counter.open_write(tx);
+          for (const auto& p : pad) p->open_read(tx);
+          c->value += kBig;
+        });
       }
+      long_metrics = tc.metrics();
+      exec.thread_done();
     });
-  }
-
-  int long_commits = 0;
-  {
-    ThreadCtx& tc = rt.attach_thread();
-    while (long_commits < kMaxLongCommits) {
-      rt.atomically(tc, [&](Tx& tx) {
-        Cell* c = counter.open_write(tx);
-        for (int s = 0; s < 60; ++s) {  // ~300 us held, yielding throughout
-          spin_ns(5'000);
-          std::this_thread::yield();
+    for (unsigned vid = 1; vid <= kShortThreads; ++vid) {
+      threads.emplace_back([&, vid] {
+        exec.register_thread(static_cast<int>(vid));
+        ThreadCtx& tc = rt.attach_thread();
+        for (int i = 0; i < kShortTxs; ++i) {
+          rt.atomically(tc, [&](Tx& tx) { counter.open_write(tx)->value += 1; });
         }
-        c->value += kBig;
+        exec.thread_done();
       });
-      ++long_commits;
-      if (long_commits >= kMinLongCommits && tc.metrics().serial_fallbacks > 0 &&
-          rt.liveness()->stats().storms_flagged > 0) {
-        break;
-      }
     }
-    stop_short.store(true, std::memory_order_release);
+    for (auto& t : threads) t.join();
+
+    ASSERT_FALSE(exec.over_budget());
+    EXPECT_EQ(counter.peek()->value, kLongTxs * kBig + long{kShortThreads} * kShortTxs)
+        << "commits lost";
+    EXPECT_GT(long_metrics.escalations, 0u) << "ladder never engaged under " << GetParam();
+    EXPECT_GT(long_metrics.serial_fallbacks, 0u)
+        << "starved writer never reached the irrevocable level under " << GetParam();
+    EXPECT_EQ(rt.total_metrics().timeouts, 0u);
+    const LivenessManager::Stats ls = rt.liveness()->stats();
+    EXPECT_LE(ls.max_token_holders, 1u);
+    EXPECT_EQ(ls.token_overlap_violations, 0u);
   }
-  for (auto& w : shorts) w.join();
-
-  const long final_value = counter.peek()->value;
-  EXPECT_EQ(final_value / kBig, long_commits) << "long-writer commits lost";
-  EXPECT_EQ(final_value % kBig, short_total.load()) << "short-writer commits lost";
-
-  const stm::ThreadMetrics totals = rt.total_metrics();
-  EXPECT_GT(totals.escalations, 0u) << "ladder never engaged under " << GetParam();
-  EXPECT_GT(totals.serial_fallbacks, 0u)
-      << "starved writer never reached the irrevocable level under " << GetParam();
-  EXPECT_EQ(totals.timeouts, 0u);
-
-  const LivenessManager::Stats ls = rt.liveness()->stats();
-  EXPECT_GT(ls.scans, 0u) << "watchdog thread never scanned";
-  EXPECT_GT(ls.storms_flagged, 0u) << "watchdog never flagged the abort storm";
-  EXPECT_LE(ls.max_token_holders, 1u);
-  EXPECT_EQ(ls.token_overlap_violations, 0u);
 }
 
 // ---- hard deadline ---------------------------------------------------------
@@ -322,6 +320,32 @@ TEST(Watchdog, KicksStalledTransactionWhichThenCommits) {
 // above 64 is flagged and kicked like any other. Parametrized over managers
 // that keep per-slot state (Polka's saved karma, WindowCM's per-thread
 // window), which must take a slot that high too.
+// The watchdog thread flags an abort storm from a slot's beacon alone: an
+// attempt whose logical transaction has aborted storm_threshold times is
+// flagged once per episode, and the owner collects the flag. The wait for
+// the scan is bounded, never a fixed sleep.
+TEST(Watchdog, FlagsAbortStormFromBeacon) {
+  LivenessConfig cfg;
+  cfg.enabled = true;
+  cfg.watchdog_period_ns = 100'000;
+  cfg.stall_timeout_ns = 0;
+  cfg.storm_threshold = 2;
+  LivenessManager lm(cfg);
+  lm.note_attempt_begin(/*slot=*/3, now_ns(), now_ns(), /*consecutive_aborts=*/5);
+  lm.start_watchdog({});
+  const std::int64_t give_up = now_ns() + 30'000'000'000;
+  while (lm.stats().storms_flagged == 0 && now_ns() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  lm.stop_watchdog();
+
+  const LivenessManager::Stats s = lm.stats();
+  EXPECT_GT(s.scans, 0u);
+  EXPECT_EQ(s.storms_flagged, 1u) << "one storm episode is flagged once";
+  EXPECT_EQ(s.stalls_flagged, 0u);
+  EXPECT_EQ(lm.take_flags(3), LivenessManager::kFlagStorm);
+}
+
 class WatchdogSlots : public ::testing::TestWithParam<std::string> {};
 
 INSTANTIATE_TEST_SUITE_P(Cms, WatchdogSlots, ::testing::Values("Polka", "Online-Dynamic"),
