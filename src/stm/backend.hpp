@@ -3,9 +3,13 @@
 // world, resolves reads and writes, and publishes at commit — while the
 // Runtime keeps everything engine-agnostic above it: CM arbitration,
 // metrics, tracing, liveness escalation, chaos and the deterministic
-// checker. The two engines are peers: DstmEngine (eager obstruction-free
-// locators, dstm/engine.cpp) and OrecEngine (lazy lock-based TL2-style redo
-// logs, orec/engine.cpp).
+// checker. An engine reaches it through one entry per protocol site:
+// Runtime::contend at every conflict with an active enemy, Runtime::step at
+// every schedule point that may take an injected abort. The Runtime calls
+// the manager's on_open after each successful open and fires the commit
+// unpark edge itself. The two engines are peers: DstmEngine (eager
+// obstruction-free locators, dstm/engine.cpp) and OrecEngine (lazy
+// lock-based TL2-style redo logs, orec/engine.cpp).
 #pragma once
 
 #include <stdexcept>
@@ -55,14 +59,15 @@ class Backend {
 
   /// Resolve a transactional read to a payload the attempt may dereference
   /// until it ends. Throws TxAbort when the attempt must die; conflicts go
-  /// through Runtime::arbitrate so CM decisions (and the irrevocability
+  /// through Runtime::contend so CM decisions (and the irrevocability
   /// short-circuits) apply identically on both engines.
   virtual const void* open_read(ThreadCtx& tc, TObjectBase& obj) = 0;
 
   /// Resolve a transactional write to a private mutable payload.
   virtual void* open_write(ThreadCtx& tc, TObjectBase& obj) = 0;
 
-  /// Engine-specific commit protocol through the status transition.
+  /// Engine-specific commit protocol through the status transition and
+  /// anything that must precede the unpark edge (orec's write-back).
   /// Returns false when the attempt lost its commit race to a remote kill;
   /// throws TxAbort when validation/acquisition aborts the attempt.
   virtual bool commit(ThreadCtx& tc) = 0;

@@ -3,7 +3,7 @@
 //
 // Writers acquire objects at open time by CASing in a fresh Locator that
 // names them as owner; an active previous owner is a conflict handed to
-// Runtime::arbitrate. Reads come in DSTM2's two modes:
+// Runtime::contend. Reads come in DSTM2's two modes:
 //  * visible (the paper's): readers announce themselves in the object's
 //    striped reader records and acquiring writers resolve every active
 //    reader, so no read-set validation is needed;

@@ -7,7 +7,7 @@
 // order, validates the read set, takes a commit timestamp from the shared
 // commit clock, flips status, writes back and releases. Conflicts (a locked
 // orec at read/lock time, a locked entry at validation time) go through
-// Runtime::arbitrate, so the whole CM family — window managers, frame
+// Runtime::contend, so the whole CM family — window managers, frame
 // scheduling, the escalation ladder and the irrevocable serial-fallback
 // token — applies to this engine exactly as it does to DSTM.
 #pragma once

@@ -61,11 +61,10 @@ struct alignas(kCacheLine) TxDesc {
   /// start and after every abort. Lower value wins.
   std::atomic<std::uint64_t> rand_prio{0};
 
-  /// Escalation-ladder priority boost (0 = none). Read by enemies through
-  /// ContentionManager::resolve_with_boost: a higher boost wins outright,
-  /// regardless of the manager's own policy. Written only by the owning
-  /// thread before the descriptor is published (the liveness layer
-  /// publishes at begin).
+  /// Escalation-ladder priority boost (0 = none). Read by enemies in
+  /// Runtime::contend: a higher boost wins outright, regardless of the
+  /// manager's own policy. Written only by the owning thread before the
+  /// descriptor is published (the liveness layer publishes at begin).
   std::atomic<std::uint32_t> boost{0};
   /// Serial-fallback mode: the holder of the global irrevocable token
   /// cannot be aborted by enemies (try_abort refuses), so its conflicts

@@ -140,7 +140,7 @@ TEST(OrecBasic, ArbitrationLeavesAttemptUnpublished) {
 
   EXPECT_EQ(v, 2) << "the reader waited for the writer's commit";
   EXPECT_GE(probe->resolves.load(), 1);
-  EXPECT_EQ(probe->published_at_resolve.load(), 0) << "arbitrate() published the reader";
+  EXPECT_EQ(probe->published_at_resolve.load(), 0) << "contend() published the reader";
   EXPECT_EQ(rt.tx_of_slot(tc.slot()), before) << "the read-only commit published";
   EXPECT_EQ(rt.total_metrics().commits, 2u);
 }
